@@ -12,11 +12,17 @@
 //      itself and the bench exits nonzero (full mode only; --quick runs a
 //      shorter grid for smoke coverage and skips the economy gate).
 //
+// Each request runs as its own batch so stdout can report its surrogate-off
+// and surrogate-on wall seconds (the tier's overhead against the kernel
+// runs it saves). Wall time never reaches the JSON, which stays
+// deterministic.
+//
 // Flags: --steps=N           step budget per exploration (default 10000)
 //        --quick             CI smoke mode: 2000 steps, no economy gate
 //        --min-reduction=P   economy gate percentage (default 25; 0 disables)
 //        --json=PATH         output path (default BENCH_surrogate.json)
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -54,6 +60,23 @@ std::vector<dse::ExplorationRequest> Table3Grid(std::size_t steps,
       MakeRequest("fir", 100, "FIR 100", steps, surrogate),
       MakeRequest("fir", 200, "FIR 200", steps, surrogate),
   };
+}
+
+/// Runs each request as its own batch (all caches are private, so the
+/// results equal one batch of the whole grid) and records its wall seconds.
+dse::BatchResult RunTimed(const Session& session,
+                          const std::vector<dse::ExplorationRequest>& grid,
+                          std::vector<double>* seconds) {
+  dse::BatchResult batch;
+  for (const dse::ExplorationRequest& request : grid) {
+    const auto start = std::chrono::steady_clock::now();
+    dse::BatchResult one = session.ExploreBatch({request});
+    seconds->push_back(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+    batch.results.push_back(std::move(one.results.front()));
+  }
+  return batch;
 }
 
 /// Everything result-shaped a surrogate skip could corrupt, as one string:
@@ -142,10 +165,14 @@ int main(int argc, char** argv) {
       quick ? 0.0 : args.GetDouble("min-reduction", 25.0);
 
   Session session;
+  std::vector<double> seconds_off;
+  std::vector<double> seconds_on;
   std::printf("Table III grid, %zu steps, surrogate OFF...\n", steps);
-  const dse::BatchResult off = session.ExploreBatch(Table3Grid(steps, false));
+  const dse::BatchResult off =
+      RunTimed(session, Table3Grid(steps, false), &seconds_off);
   std::printf("Table III grid, %zu steps, surrogate ON...\n", steps);
-  const dse::BatchResult on = session.ExploreBatch(Table3Grid(steps, true));
+  const dse::BatchResult on =
+      RunTimed(session, Table3Grid(steps, true), &seconds_on);
 
   // Fidelity: digests must match byte for byte.
   const std::string digest_off = FidelityDigest(off);
@@ -166,9 +193,10 @@ int main(int argc, char** argv) {
     total_on += row.executed_on;
     std::printf(
         "  %-14s executed %5zu -> %5zu  (deferred %4zu, surrogate hits "
-        "%5zu, reduction %.1f%%)\n",
+        "%5zu, reduction %.1f%%)  wall %.3f s -> %.3f s\n",
         row.label.c_str(), row.executed_off, row.executed_on, row.deferred,
-        row.surrogate_hits, row.ReductionPct());
+        row.surrogate_hits, row.ReductionPct(), seconds_off[r],
+        seconds_on[r]);
     rows.push_back(std::move(row));
   }
   const double total_reduction =

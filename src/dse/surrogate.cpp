@@ -1,7 +1,9 @@
 #include "dse/surrogate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace axdse::dse {
@@ -44,6 +46,21 @@ void SetCountField(axdse::energy::OpCounts& counts, int field,
   }
 }
 
+// Calls fn(v) for every selected variable v of `mask`, in ascending order.
+template <typename Fn>
+void ForEachSelected(const std::vector<std::uint64_t>& mask, Fn&& fn) {
+  for (std::size_t w = 0; w < mask.size(); ++w)
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+      fn(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+/// Dimension of the quadratic counts model over `v` variables, or 0 when it
+/// exceeds kMaxCountsDim.
+std::size_t CountsDim(std::size_t v) {
+  const std::size_t quad_dim = 1 + v + v * (v - 1) / 2;
+  return quad_dim <= kMaxCountsDim ? quad_dim : 0;
+}
+
 }  // namespace
 
 SurrogateModel::SurrogateModel(const SpaceShape& shape, double acc_threshold,
@@ -56,42 +73,30 @@ SurrogateModel::SurrogateModel(const SpaceShape& shape, double acc_threshold,
       energy_(&energy),
       precise_power_mw_(precise_power_mw),
       precise_time_ns_(precise_time_ns),
-      options_(options) {
-  dim_ = 1 + shape_.num_adders + shape_.num_multipliers + shape_.num_variables;
-  min_samples_ = std::max(options_.min_samples, 2 * dim_);
-  const std::size_t v = shape_.num_variables;
-  const std::size_t quad_dim = 1 + v + v * (v - 1) / 2;
-  counts_dim_ = quad_dim <= kMaxCountsDim ? quad_dim : 0;
-}
+      options_(options),
+      dim_(1 + shape.num_adders + shape.num_multipliers + shape.num_variables),
+      min_samples_(std::max(options.min_samples, 2 * dim_)),
+      equations_(dim_),
+      counts_dim_(CountsDim(shape.num_variables)),
+      counts_equations_(counts_dim_, 4) {}
 
-SurrogateModel::FullKey SurrogateModel::FullKeyOf(const Configuration& config) {
-  FullKey key;
-  key.reserve(2 + config.MaskWords().size());
-  key.push_back(config.AdderIndex());
-  key.push_back(config.MultiplierIndex());
-  key.insert(key.end(), config.MaskWords().begin(), config.MaskWords().end());
-  return key;
-}
-
-SurrogateModel::MaskKey SurrogateModel::MaskKeyOf(const Configuration& config) {
-  return config.MaskWords();
-}
-
-std::vector<double> SurrogateModel::Features(const Configuration& config) const {
-  // [bias | adder one-hot | multiplier one-hot | variable indicators].
+void SurrogateModel::ActiveFeatures(const Configuration& config,
+                                    std::vector<std::uint32_t>* out) const {
   // The operator one-hots are gated by "any variable selected": with an
   // empty mask no operation is approximate and Δacc is 0 no matter which
   // operators are nominally selected, so those rows must not teach the model
   // anything about the operators.
-  std::vector<double> f(dim_, 0.0);
-  f[0] = 1.0;
-  const double any = config.NoneSelected() ? 0.0 : 1.0;
-  f[1 + config.AdderIndex()] = any;
-  f[1 + shape_.num_adders + config.MultiplierIndex()] = any;
+  out->clear();
+  out->push_back(0);
+  if (!config.NoneSelected()) {
+    out->push_back(static_cast<std::uint32_t>(1 + config.AdderIndex()));
+    out->push_back(static_cast<std::uint32_t>(1 + shape_.num_adders +
+                                              config.MultiplierIndex()));
+  }
   const std::size_t vars_base = 1 + shape_.num_adders + shape_.num_multipliers;
-  for (std::size_t v = 0; v < shape_.num_variables; ++v)
-    if (config.VariableSelected(v)) f[vars_base + v] = 1.0;
-  return f;
+  ForEachSelected(config.MaskWords(), [&](std::size_t v) {
+    out->push_back(static_cast<std::uint32_t>(vars_base + v));
+  });
 }
 
 bool SurrogateModel::IsSaturation(const Configuration& config) const noexcept {
@@ -101,63 +106,63 @@ bool SurrogateModel::IsSaturation(const Configuration& config) const noexcept {
          config.AllVariablesSelected();
 }
 
-SurrogateModel::Point SurrogateModel::PointOf(const Configuration& config) {
-  Point p;
-  p.adder = config.AdderIndex();
-  p.multiplier = config.MultiplierIndex();
-  p.mask = config.MaskWords();
-  return p;
-}
-
-bool SurrogateModel::Dominates(const Point& a, const Point& b) {
-  if (a.adder < b.adder || a.multiplier < b.multiplier) return false;
-  for (std::size_t w = 0; w < b.mask.size(); ++w)
-    if ((b.mask[w] & ~a.mask[w]) != 0) return false;  // b selects more than a
+bool SurrogateModel::Dominates(const Configuration& a, const Configuration& b) {
+  if (a.AdderIndex() < b.AdderIndex() ||
+      a.MultiplierIndex() < b.MultiplierIndex())
+    return false;
+  const std::vector<std::uint64_t>& a_mask = a.MaskWords();
+  const std::vector<std::uint64_t>& b_mask = b.MaskWords();
+  for (std::size_t w = 0; w < b_mask.size(); ++w)
+    if ((b_mask[w] & ~a_mask[w]) != 0) return false;  // b selects more than a
   return true;
 }
 
-std::vector<double> SurrogateModel::MaskFeatures(const MaskKey& mask) const {
+void SurrogateModel::ActiveMaskFeatures(const std::vector<std::uint64_t>& mask,
+                                        std::vector<std::uint32_t>* out) const {
+  // Dense layout: [bias | x_v (v < V) | x_i*x_j for i < j in (i, j) order],
+  // so pair (i, j) sits at V*(i+1) - i*(i+3)/2 + j. Emitting the linear
+  // terms, then the pairs in (i, j) order, keeps the list ascending.
   const std::size_t v_count = shape_.num_variables;
-  std::vector<double> f(counts_dim_, 0.0);
-  f[0] = 1.0;
-  const auto bit = [&](std::size_t v) {
-    return (mask[v / 64] >> (v % 64)) & 1u ? 1.0 : 0.0;
-  };
-  for (std::size_t v = 0; v < v_count; ++v) f[1 + v] = bit(v);
-  std::size_t k = 1 + v_count;
-  for (std::size_t i = 0; i < v_count; ++i)
-    for (std::size_t j = i + 1; j < v_count; ++j) f[k++] = bit(i) * bit(j);
-  return f;
+  out->clear();
+  out->push_back(0);
+  ForEachSelected(mask, [&](std::size_t v) {
+    out->push_back(static_cast<std::uint32_t>(1 + v));
+  });
+  const std::size_t selected_end = out->size();
+  for (std::size_t a = 1; a < selected_end; ++a) {
+    const std::size_t i = (*out)[a] - 1;
+    const std::size_t row_base = v_count * (i + 1) - i * (i + 3) / 2;
+    for (std::size_t b = a + 1; b < selected_end; ++b)
+      out->push_back(static_cast<std::uint32_t>(row_base + ((*out)[b] - 1)));
+  }
 }
 
 void SurrogateModel::TryFitCounts() {
   // Exact fit (no ridge): the counts of every straight-line kernel are an
   // integer-valued quadratic in the mask bits, so the model is only trusted
   // when it reproduces EVERY observed mask exactly after rounding.
-  util::LinearModelFit fits[4];
-  for (int field = 0; field < 4; ++field) {
-    fits[field] =
-        util::FitLinearModel(counts_rows_, counts_targets_[field], 0.0);
-    if (!fits[field].Ok()) return;
-  }
-  for (std::size_t i = 0; i < counts_rows_.size(); ++i) {
+  std::vector<util::LinearModelFit> fits = counts_equations_.Solve(0.0);
+  for (const util::LinearModelFit& fit : fits)
+    if (!fit.Ok()) return;
+  for (const auto& [mask, counts] : mask_counts_) {
+    ActiveMaskFeatures(mask, &active_);
     for (int field = 0; field < 4; ++field) {
-      const double pred = fits[field].Predict(counts_rows_[i]);
+      const double pred = fits[field].PredictActive(active_);
       if (!std::isfinite(pred) ||
-          std::abs(pred - counts_targets_[field][i]) >= 0.5)
+          std::abs(pred - static_cast<double>(CountField(counts, field))) >=
+              0.5)
         return;
     }
   }
-  for (int field = 0; field < 4; ++field) counts_fits_[field] = fits[field];
-  counts_model_ok_ = true;
+  counts_fits_ = std::move(fits);
 }
 
-bool SurrogateModel::PredictCounts(const MaskKey& mask,
-                                   energy::OpCounts* out) const {
-  if (!counts_model_ok_) return false;
-  const std::vector<double> f = MaskFeatures(mask);
+bool SurrogateModel::PredictCounts(const std::vector<std::uint64_t>& mask,
+                                   energy::OpCounts* out) {
+  if (counts_fits_.empty()) return false;
+  ActiveMaskFeatures(mask, &active_);
   for (int field = 0; field < 4; ++field) {
-    const double pred = counts_fits_[field].Predict(f);
+    const double pred = counts_fits_[field].PredictActive(active_);
     if (!std::isfinite(pred)) return false;
     const double rounded = std::round(pred);
     if (rounded < 0.0) return false;
@@ -167,12 +172,17 @@ bool SurrogateModel::PredictCounts(const MaskKey& mask,
 }
 
 void SurrogateModel::Refit() {
-  fit_ = util::FitLinearModel(rows_, targets_, options_.ridge_lambda);
+  fit_ = std::move(equations_.Solve(options_.ridge_lambda).front());
   if (!fit_.Ok()) return;
   double max_residual = 0.0;
-  for (std::size_t i = 0; i < rows_.size(); ++i)
-    max_residual = std::max(max_residual,
-                            std::abs(fit_.Predict(rows_[i]) - targets_[i]));
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < row_end_.size(); ++i) {
+    const std::span<const std::uint32_t> row(row_active_.data() + begin,
+                                             row_end_[i] - begin);
+    max_residual =
+        std::max(max_residual, std::abs(fit_.PredictActive(row) - targets_[i]));
+    begin = row_end_[i];
+  }
   margin_ = std::max(options_.margin_factor *
                          std::max({max_residual, prequential_max_,
                                    options_.residual_floor}),
@@ -185,6 +195,10 @@ void SurrogateModel::Observe(const Configuration& config,
     throw std::invalid_argument(
         "SurrogateModel::Observe: configuration does not fit the space");
 
+  const double y = std::clamp(std::log(std::max(m.delta_acc, 0.0) + kEps),
+                              cut_ - kClampBelow, cut_ + kClampAbove);
+  ActiveFeatures(config, &active_);
+
   // Margin self-calibration against every ground truth BEFORE it joins the
   // training set. This is an honest out-of-sample (prequential) error of
   // exactly the model a skip of this configuration would have used — audits
@@ -195,10 +209,8 @@ void SurrogateModel::Observe(const Configuration& config,
   //   * a confidently-misclassified observation pushes the margin past its
   //     own confidence (with headroom) so that exact mistake cannot recur.
   if (fit_.Ok()) {
-    const double pred = fit_.Predict(Features(config));
+    const double pred = fit_.PredictActive(active_);
     if (std::isfinite(pred)) {
-      const double y = std::clamp(std::log(std::max(m.delta_acc, 0.0) + kEps),
-                                  cut_ - kClampBelow, cut_ + kClampAbove);
       prequential_max_ = std::max(prequential_max_, std::abs(pred - y));
       const bool pred_infeasible = pred > cut_;
       const bool true_infeasible = m.delta_acc > acc_threshold_;
@@ -211,74 +223,76 @@ void SurrogateModel::Observe(const Configuration& config,
           calibration_floor_);
     }
   }
+  observations_.push_back(config);
+  equations_.AddActive(active_, std::span<const double>(&y, 1));
+  row_active_.insert(row_active_.end(), active_.begin(), active_.end());
+  row_end_.push_back(row_active_.size());
+  targets_.push_back(y);
 
   // Learn (or cross-check) the operation counts of this variable mask. The
   // op split depends only on which variables are selected, not on the
   // operator choice — if two runs with the same mask ever disagree, that
   // assumption is wrong for this kernel and exact-cost prediction is
   // impossible: stop skipping permanently.
-  const auto [it, inserted] = mask_counts_.emplace(MaskKeyOf(config), m.counts);
+  const auto [it, inserted] =
+      mask_counts_.try_emplace(config.MaskWords(), m.counts);
   if (!inserted && !(it->second == m.counts)) counts_unstable_ = true;
   if (inserted && counts_dim_ > 0) {
-    // A validated quadratic counts model must keep matching reality: one
-    // off-model mask means its predictions cannot be trusted anywhere.
-    if (counts_model_ok_) {
+    if (!counts_fits_.empty()) {
+      // A validated quadratic counts model must keep matching reality: one
+      // off-model mask means its predictions cannot be trusted anywhere.
       energy::OpCounts predicted;
       if (!PredictCounts(it->first, &predicted) || !(predicted == m.counts))
         counts_unstable_ = true;
+    } else if (!counts_unstable_) {
+      // Still learning. A trusted model is never refitted and unstable
+      // counts are permanent, so only this branch feeds the fit.
+      double counts_targets[4];
+      for (int field = 0; field < 4; ++field)
+        counts_targets[field] =
+            static_cast<double>(CountField(m.counts, field));
+      ActiveMaskFeatures(it->first, &active_);
+      counts_equations_.AddActive(active_, counts_targets);
+      const std::size_t masks = counts_equations_.Rows();
+      if (masks >= counts_dim_ &&
+          (masks - counts_dim_) % kCountsFitInterval == 0)
+        TryFitCounts();
     }
-    counts_rows_.push_back(MaskFeatures(it->first));
-    for (int field = 0; field < 4; ++field)
-      counts_targets_[field].push_back(
-          static_cast<double>(CountField(m.counts, field)));
-    if (!counts_model_ok_ && !counts_unstable_ &&
-        counts_rows_.size() >= counts_dim_ &&
-        (counts_rows_.size() - counts_dim_) % kCountsFitInterval == 0)
-      TryFitCounts();
   }
 
   // Record the ground truth as a dominance witness, keeping each set an
   // antichain: the feasible side only Pareto-maximal points (the most
   // aggressive configurations known feasible), the infeasible side only
   // Pareto-minimal ones — anything else witnesses nothing those cannot.
-  {
-    const Point point = PointOf(config);
-    if (m.delta_acc <= acc_threshold_) {
-      bool covered = false;
-      for (const Point& q : feasible_witnesses_)
-        if (Dominates(q, point)) { covered = true; break; }
-      if (!covered) {
-        std::erase_if(feasible_witnesses_,
-                      [&](const Point& q) { return Dominates(point, q); });
-        feasible_witnesses_.push_back(point);
-      }
-    } else {
-      bool covered = false;
-      for (const Point& q : infeasible_witnesses_)
-        if (Dominates(point, q)) { covered = true; break; }
-      if (!covered) {
-        std::erase_if(infeasible_witnesses_,
-                      [&](const Point& q) { return Dominates(q, point); });
-        infeasible_witnesses_.push_back(point);
-      }
+  if (m.delta_acc <= acc_threshold_) {
+    if (std::none_of(feasible_witnesses_.begin(), feasible_witnesses_.end(),
+                     [&](const Configuration& q) {
+                       return Dominates(q, config);
+                     })) {
+      std::erase_if(feasible_witnesses_, [&](const Configuration& q) {
+        return Dominates(config, q);
+      });
+      feasible_witnesses_.push_back(config);
     }
+  } else if (std::none_of(infeasible_witnesses_.begin(),
+                          infeasible_witnesses_.end(),
+                          [&](const Configuration& q) {
+                            return Dominates(config, q);
+                          })) {
+    std::erase_if(infeasible_witnesses_, [&](const Configuration& q) {
+      return Dominates(q, config);
+    });
+    infeasible_witnesses_.push_back(config);
   }
 
-  observations_.push_back(config);
-  rows_.push_back(Features(config));
-  targets_.push_back(std::clamp(
-      std::log(std::max(m.delta_acc, 0.0) + kEps), cut_ - kClampBelow,
-      cut_ + kClampAbove));
-
+  const std::size_t n = observations_.size();
   const std::size_t interval = std::max<std::size_t>(options_.refit_interval, 1);
-  if (rows_.size() >= min_samples_ &&
-      (rows_.size() - min_samples_) % interval == 0)
-    Refit();
+  if (n >= min_samples_ && (n - min_samples_) % interval == 0) Refit();
 }
 
 const instrument::Measurement* SurrogateModel::Lookup(
     const Configuration& config) const {
-  const auto it = predicted_.find(FullKeyOf(config));
+  const auto it = predicted_.find(config);
   return it == predicted_.end() ? nullptr : &it->second;
 }
 
@@ -292,29 +306,32 @@ bool SurrogateModel::TrySkip(const Configuration& config,
   // Exact operation counts of this configuration's mask: the ground-truth
   // memo first, the validated quadratic model for unseen masks.
   energy::OpCounts counts;
-  const auto counts_it = mask_counts_.find(MaskKeyOf(config));
+  const auto counts_it = mask_counts_.find(config.MaskWords());
   if (counts_it != mask_counts_.end()) {
     counts = counts_it->second;
-  } else if (!PredictCounts(MaskKeyOf(config), &counts)) {
+  } else if (!PredictCounts(config.MaskWords(), &counts)) {
     return false;
   }
 
-  const double pred = fit_.Predict(Features(config));
+  ActiveFeatures(config, &active_);
+  const double pred = fit_.PredictActive(active_);
   if (!std::isfinite(pred) || std::abs(pred - cut_) <= margin_) return false;
 
   // Independent structural confirmation: a dominance witness on the
   // predicted side. A feasible skip needs an observed feasible point at
   // least as aggressive as the candidate; an infeasible skip an observed
   // infeasible point at most as aggressive.
-  const Point point = PointOf(config);
-  bool witnessed = false;
-  if (pred < cut_) {
-    for (const Point& q : feasible_witnesses_)
-      if (Dominates(q, point)) { witnessed = true; break; }
-  } else {
-    for (const Point& q : infeasible_witnesses_)
-      if (Dominates(point, q)) { witnessed = true; break; }
-  }
+  const bool witnessed =
+      pred < cut_
+          ? std::any_of(feasible_witnesses_.begin(), feasible_witnesses_.end(),
+                        [&](const Configuration& q) {
+                          return Dominates(q, config);
+                        })
+          : std::any_of(infeasible_witnesses_.begin(),
+                        infeasible_witnesses_.end(),
+                        [&](const Configuration& q) {
+                          return Dominates(config, q);
+                        });
   if (!witnessed) return false;
 
   // Skip-eligible. Deterministic audit: every Nth eligible configuration is
@@ -341,13 +358,13 @@ bool SurrogateModel::TrySkip(const Configuration& config,
   m.delta_power_mw = precise_power_mw_ - approx_cost.power_mw;
   m.delta_time_ns = precise_time_ns_ - approx_cost.time_ns;
 
-  predicted_.emplace(FullKeyOf(config), m);
+  predicted_.emplace(config, m);
   *out = m;
   return true;
 }
 
 void SurrogateModel::Invalidate(const Configuration& config) {
-  predicted_.erase(FullKeyOf(config));
+  predicted_.erase(config);
 }
 
 SurrogateModel::State SurrogateModel::CaptureState() const {
@@ -355,15 +372,7 @@ SurrogateModel::State SurrogateModel::CaptureState() const {
   state.audit_counter = audit_counter_;
   state.counts_unstable = counts_unstable_;
   state.observations = observations_;
-  state.predicted.reserve(predicted_.size());
-  for (const auto& [key, measurement] : predicted_) {
-    Configuration config(shape_.num_variables);
-    config.SetAdderIndex(static_cast<std::uint32_t>(key[0]));
-    config.SetMultiplierIndex(static_cast<std::uint32_t>(key[1]));
-    for (std::size_t v = 0; v < shape_.num_variables; ++v)
-      if ((key[2 + v / 64] >> (v % 64)) & 1u) config.SetVariable(v, true);
-    state.predicted.emplace_back(std::move(config), measurement);
-  }
+  state.predicted.assign(predicted_.begin(), predicted_.end());
   return state;
 }
 
@@ -380,7 +389,7 @@ void SurrogateModel::RestoreState(
       throw std::invalid_argument(
           "SurrogateModel::RestoreState: predicted configuration does not "
           "fit the space");
-    predicted_.insert_or_assign(FullKeyOf(config), measurement);
+    predicted_.insert_or_assign(config, measurement);
   }
 }
 

@@ -40,12 +40,19 @@
 //     (Evaluator::GroundTruth), so reported solutions, best-feasible rows,
 //     and Pareto-front points are always real measurements.
 //
-// Model: ridge regression (util::FitLinearModel) in log(Δacc) space over
-// one-hot operator features gated by "any variable selected" plus
-// per-variable indicators. Predictions are memoized so repeat visits of a
-// skipped configuration are answered identically forever (determinism across
-// suspend/resume), and all state is capturable/replayable for the checkpoint
-// subsystem.
+// Model: ridge regression in log(Δacc) space over one-hot operator features
+// gated by "any variable selected" plus per-variable indicators. Every
+// feature is 0/1, so rows live as active-index lists and both models fit
+// from running normal equations (util::NormalEquations): each observation
+// adds its row to X^T X and X^T y once, in O(nnz^2) for nnz active features,
+// and a refit solves the D x D system plus one O(nnz) residual pass per
+// training row — O(D^3 + N*nnz) instead of rebuilding X^T X from all N
+// rows. The four OpCounts fields of the counts model share one Gram matrix.
+// The fits are bit-identical to a dense refit from every row (see
+// util/linear_regression.hpp), so no skip decision depends on the method.
+// Predictions are memoized so repeat visits of a skipped configuration are
+// answered identically forever (determinism across suspend/resume), and all
+// state is capturable/replayable for the checkpoint subsystem.
 //
 // Deterministic by construction: the model trains only on this evaluator's
 // own evaluation sequence (never on shared-cache traffic, which is
@@ -56,6 +63,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -150,40 +158,30 @@ class SurrogateModel {
           measurement_of);
 
  private:
-  /// Deterministic map key of a full configuration: adder index, multiplier
-  /// index, then mask words.
-  using FullKey = std::vector<std::uint64_t>;
-  /// Map key of a variable mask alone (mask words).
-  using MaskKey = std::vector<std::uint64_t>;
-
-  static FullKey FullKeyOf(const Configuration& config);
-  static MaskKey MaskKeyOf(const Configuration& config);
-
-  std::vector<double> Features(const Configuration& config) const;
+  /// Ascending indices of the 1.0 entries of the accuracy model's feature
+  /// row [bias | adder one-hot | multiplier one-hot | variable indicators]
+  /// (every feature is 0/1), written into *out.
+  void ActiveFeatures(const Configuration& config,
+                      std::vector<std::uint32_t>* out) const;
   void Refit();
   bool IsSaturation(const Configuration& config) const noexcept;
 
-  /// Compact (adder, multiplier, mask) triple of the dominance order.
-  struct Point {
-    std::uint32_t adder = 0;
-    std::uint32_t multiplier = 0;
-    std::vector<std::uint64_t> mask;
-  };
   /// a approximates at least as aggressively as b: operator indices >= and
   /// mask a superset (operator sets are accuracy-ordered, so this implies
   /// Δacc(a) >= Δacc(b) up to error cancellation).
-  static bool Dominates(const Point& a, const Point& b);
-  static Point PointOf(const Configuration& config);
+  static bool Dominates(const Configuration& a, const Configuration& b);
 
-  /// Quadratic mask features [bias | x_v | x_i*x_j (i<j)] of the counts
-  /// model.
-  std::vector<double> MaskFeatures(const MaskKey& mask) const;
+  /// Ascending active indices of the counts model's quadratic mask features
+  /// [bias | x_v | x_i*x_j (i<j)], written into *out.
+  void ActiveMaskFeatures(const std::vector<std::uint64_t>& mask,
+                          std::vector<std::uint32_t>* out) const;
   /// Fits the per-field quadratic counts models and validates them against
   /// every observed mask (exact integer match required).
   void TryFitCounts();
   /// Counts of an unseen mask through the validated quadratic model; false
   /// when the model is not (yet) trusted.
-  bool PredictCounts(const MaskKey& mask, energy::OpCounts* out) const;
+  bool PredictCounts(const std::vector<std::uint64_t>& mask,
+                     energy::OpCounts* out);
 
   SpaceShape shape_;
   double acc_threshold_ = 0.0;
@@ -195,7 +193,12 @@ class SurrogateModel {
   std::size_t dim_ = 0;
   std::size_t min_samples_ = 0;
 
-  std::vector<std::vector<double>> rows_;    ///< training features
+  /// Running normal equations of the accuracy model.
+  util::NormalEquations equations_;
+  /// Training rows as active-index lists, concatenated: row i is
+  /// row_active_[row_end_[i-1] .. row_end_[i]) (Refit's residual pass).
+  std::vector<std::uint32_t> row_active_;
+  std::vector<std::size_t> row_end_;
   std::vector<double> targets_;              ///< clamped log(Δacc)
   std::vector<Configuration> observations_;  ///< insertion order, for capture
   util::LinearModelFit fit_;
@@ -210,22 +213,29 @@ class SurrogateModel {
   /// Dominance witnesses: ground-truth feasible / infeasible points. A skip
   /// additionally requires a witness on its side of the threshold (see
   /// TrySkip), so a barely-misplaced regression alone can never misclassify.
-  std::vector<Point> feasible_witnesses_;
-  std::vector<Point> infeasible_witnesses_;
+  std::vector<Configuration> feasible_witnesses_;
+  std::vector<Configuration> infeasible_witnesses_;
 
-  std::map<MaskKey, energy::OpCounts> mask_counts_;
+  /// Ground-truth counts per variable mask. While the counts model is still
+  /// learning, its keys are that model's training rows and its values the
+  /// four targets.
+  std::map<std::vector<std::uint64_t>, energy::OpCounts> mask_counts_;
   bool counts_unstable_ = false;
   std::uint64_t audit_counter_ = 0;
 
-  /// Quadratic counts model (one fit per OpCounts field), derived purely
-  /// from the observation sequence so restore-by-replay reproduces it.
+  /// Quadratic counts model, derived purely from the observation sequence
+  /// so restore-by-replay reproduces it: one Gram matrix shared by the four
+  /// OpCounts fields, one right-hand side each.
   std::size_t counts_dim_ = 0;  ///< 0 disables the model (space too large)
-  std::vector<std::vector<double>> counts_rows_;  ///< one row per new mask
-  std::vector<double> counts_targets_[4];
-  util::LinearModelFit counts_fits_[4];
-  bool counts_model_ok_ = false;
+  util::NormalEquations counts_equations_;
+  std::vector<util::LinearModelFit> counts_fits_;  ///< empty until trusted
 
-  std::map<FullKey, instrument::Measurement> predicted_;
+  /// Scratch active-index list, reused so a call allocates nothing.
+  std::vector<std::uint32_t> active_;
+
+  std::unordered_map<Configuration, instrument::Measurement,
+                     Configuration::Hash>
+      predicted_;
 };
 
 }  // namespace axdse::dse

@@ -8,8 +8,10 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "dse/engine.hpp"
+#include "workloads/kernel.hpp"
 
 namespace axdse::report {
 
@@ -23,6 +25,17 @@ std::string JsonNum(double value);
 /// Writes a util::Summary as a JSON object
 /// {"count":..,"mean":..,"stddev":..,"min":..,"max":..}.
 void WriteSummaryJson(std::ostream& out, const util::Summary& summary);
+
+/// Writes per-stage operation counts as a JSON array of
+/// {"stage":..,"precise_adds":..,"approx_adds":..,"precise_muls":..,
+/// "approx_muls":..} objects.
+void WriteStages(std::ostream& out,
+                 const std::vector<workloads::StageOpCounts>& stages);
+
+/// Compact one-cell CSV form of the per-stage counts:
+/// "dct=pa:aa:pm:am|quantize=..." — empty for single-stage kernels.
+std::string StageCountsCell(
+    const std::vector<workloads::StageOpCounts>& stages);
 
 /// Writes one CSV row per seed-run, prefixed by a header row. Columns:
 /// request, label, kernel, seed, steps, stop, cumulative_reward, episodes,

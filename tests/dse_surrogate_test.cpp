@@ -270,6 +270,50 @@ TEST(SurrogateEngine, BatchResultsByteIdenticalToSurrogateOff) {
   EXPECT_GT(hits_on, 0u);
 }
 
+// Pins the surrogate's decisions themselves. The on == off comparison above
+// still passes if the tier silently stops skipping (or skips differently but
+// luckily), so the counters of two fixed explorations — agent seeds chosen
+// so that both skip hundreds of kernel runs — are pinned exactly. They were
+// recorded with the dense refit-from-every-row fits; the running
+// normal equations must reproduce every skip decision bit for bit.
+TEST(SurrogateEngine, DecisionCountersArePinned) {
+  struct Pin {
+    const char* spec;
+    std::uint64_t seed;
+    std::size_t surrogate_hits;
+    std::size_t kernel_runs_deferred;
+    std::size_t kernel_runs_executed;
+  };
+  const Pin pins[] = {
+      {"matmul@10{granularity=row-col}", 3, 934, 906, 2920},
+      {"fir@100", 1, 1366, 1292, 2478},
+  };
+  std::vector<ExplorationRequest> requests;
+  for (const Pin& pin : pins) {
+    RequestBuilder builder;
+    builder.Spec(workloads::KernelSpec::Parse(pin.spec))
+        .KernelSeed(2023)
+        .MaxSteps(4000)
+        .RewardCap(1e9)
+        .Alpha(0.15)
+        .Gamma(0.95)
+        .Seed(pin.seed)
+        .Surrogate();
+    requests.push_back(builder.Build());
+  }
+  const BatchResult batch = Engine(EngineOptions{1}).Run(requests);
+  ASSERT_EQ(batch.results.size(), std::size(pins));
+  for (std::size_t i = 0; i < std::size(pins); ++i) {
+    ASSERT_EQ(batch.results[i].runs.size(), 1u);
+    const ExplorationResult& run = batch.results[i].runs[0];
+    EXPECT_EQ(run.surrogate_hits, pins[i].surrogate_hits) << pins[i].spec;
+    EXPECT_EQ(run.kernel_runs_deferred, pins[i].kernel_runs_deferred)
+        << pins[i].spec;
+    EXPECT_EQ(run.kernel_runs_executed, pins[i].kernel_runs_executed)
+        << pins[i].spec;
+  }
+}
+
 TEST(SurrogateEngine, RecordTraceKeepsSurrogateOff) {
   RequestBuilder builder("matmul");
   builder.Size(5).MaxSteps(300).Seed(1).Surrogate().RecordTrace();
