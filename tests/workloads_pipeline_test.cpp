@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/kernel_mirrors.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/engine.hpp"
 #include "dse/explorer.hpp"
@@ -180,6 +182,70 @@ TEST(PipelineKernel, StageScopedSelectionApproximatesOnlyThatStage) {
               << c.spec << " bystander stage " << stages[s].stage
               << " while approximating " << stages[target].stage;
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Independent oracle: every pipeline against a per-op mirror (plain Mul/Add
+// calls with per-op selection scans, data rebuilt from the registry
+// parameters), so the kernel bodies are never compared with themselves.
+// ---------------------------------------------------------------------------
+
+void ExpectSameCounts(const energy::OpCounts& got,
+                      const energy::OpCounts& want, const std::string& what) {
+  EXPECT_EQ(got.precise_adds, want.precise_adds) << what;
+  EXPECT_EQ(got.approx_adds, want.approx_adds) << what;
+  EXPECT_EQ(got.precise_muls, want.precise_muls) << what;
+  EXPECT_EQ(got.approx_muls, want.approx_muls) << what;
+}
+
+TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
+  using Mirror = std::function<testsupport::PipelineMirror(ApproxContext&)>;
+  const std::vector<std::pair<PipelineCase, Mirror>> cases = {
+      {BuiltinCases()[0],
+       [](ApproxContext& ctx) {
+         return testsupport::MirrorJpegPath(1, 16, 2023, ctx);
+       }},
+      {BuiltinCases()[1],
+       [](ApproxContext& ctx) {
+         return testsupport::MirrorEdgePath(8, 9, 512, 2023, ctx);
+       }},
+      {BuiltinCases()[2],
+       [](ApproxContext& ctx) {
+         return testsupport::MirrorNnLayer(7, 8, 2, 2023, ctx);
+       }},
+  };
+  util::Rng rng(161803);
+  for (const auto& [c, mirror] : cases) {
+    const std::unique_ptr<Kernel> kernel = Make(c);
+    ApproxContext got_ctx = kernel->MakeContext();
+    ApproxContext want_ctx = kernel->MakeContext();
+    for (int trial = 0; trial < 16; ++trial) {
+      // The all-precise selection first, then random ones.
+      const ApproxSelection sel =
+          trial == 0 ? ApproxSelection(kernel->NumVariables())
+                     : RandomSelection(kernel->Operators(),
+                                       kernel->NumVariables(), rng);
+      const std::string what = std::string(c.spec) + " " + sel.ToString();
+      got_ctx.Configure(sel);
+      want_ctx.Configure(sel);
+      const std::vector<double> got = kernel->Run(got_ctx);
+      const testsupport::PipelineMirror want = mirror(want_ctx);
+      ASSERT_EQ(got, want.out) << what;
+
+      const std::vector<StageOpCounts> stages = kernel->StageCounts(sel);
+      ASSERT_EQ(stages.size(), want.stage_counts.size()) << what;
+      energy::OpCounts total;
+      for (std::size_t s = 0; s < stages.size(); ++s) {
+        ExpectSameCounts(stages[s].counts, want.stage_counts[s],
+                         what + " stage " + stages[s].stage);
+        total.precise_adds += want.stage_counts[s].precise_adds;
+        total.approx_adds += want.stage_counts[s].approx_adds;
+        total.precise_muls += want.stage_counts[s].precise_muls;
+        total.approx_muls += want.stage_counts[s].approx_muls;
+      }
+      ExpectSameCounts(got_ctx.Counts(), total, what + " totals");
     }
   }
 }
