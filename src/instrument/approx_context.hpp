@@ -16,10 +16,12 @@
 // operators outside the built-in families dispatch through it via the
 // kVirtual descriptor, with unchanged behavior.
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <type_traits>
+#include <vector>
 
 #include "axc/catalog.hpp"
 #include "axc/execution_plan.hpp"
@@ -37,6 +39,14 @@ using VarList = std::initializer_list<std::size_t>;
 /// Per-run instrumentation context. Not thread-safe (one context per running
 /// evaluation); cheap to reset between runs.
 ///
+/// Built-in kernels are written once, as templates over the context type,
+/// and instantiated for this context and for MultiApproxContext. Both
+/// expose the same primitive set: a `Value` type, ApproxLaneMask,
+/// Broadcast, Add/Mul, AddResolved/MulResolved, DotAccumulate,
+/// AxpyAccumulate, Map (uncounted wiring) and StoreOutput. Here a Value is
+/// one int64 and every shared primitive folds to the plain scalar operation
+/// at compile time.
+///
 /// Variable ids in VarList arguments must be < NumVariables(): the bound is
 /// validated once per configuration in Configure() (and asserted in debug
 /// builds on every op), not branch-checked per scalar operation. The checked
@@ -44,6 +54,11 @@ using VarList = std::initializer_list<std::size_t>;
 /// ApproxSelection::VariableSelected().
 class ApproxContext {
  public:
+  /// One configuration per run: a kernel value is a plain int64.
+  using Value = std::int64_t;
+  static constexpr std::size_t kMaxLanes = 1;
+  using Partition = std::array<std::uint8_t, kMaxLanes>;
+
   /// Binds the context to an operator set (copied; specs share immutable
   /// models) and the kernel's variable count.
   ApproxContext(axc::OperatorSet operators, std::size_t num_variables);
@@ -79,6 +94,31 @@ class ApproxContext {
       if ((mask[v >> 6] >> (v & 63)) & 1ULL) return true;
     }
     return false;
+  }
+
+  /// The shared lane-mask query: for this one-lane context, the group's
+  /// approximation decision.
+  bool ApproxLaneMask(VarList vars) const noexcept {
+    return AnyApproximated(vars);
+  }
+
+  /// Shared-primitive identities (see the class comment): one lane, so a
+  /// broadcast value, a lane read and a partition are trivial, and Map
+  /// applies the wiring transform once.
+  static constexpr std::size_t NumLanes() noexcept { return 1; }
+  static std::int64_t Broadcast(std::int64_t value) noexcept { return value; }
+  static std::int64_t Lane(std::int64_t x, std::size_t) noexcept { return x; }
+  static Partition Rep(std::int64_t) noexcept { return {}; }
+  template <class Fn>
+  static std::int64_t Map(std::int64_t x, Fn fn) noexcept {
+    return fn(x);
+  }
+
+  /// Writes `x` as output `i` of a run producing `size` outputs.
+  static void StoreOutput(std::vector<double>& out, std::size_t size,
+                          std::size_t i, std::int64_t x) noexcept {
+    (void)size;
+    out[i] = static_cast<double>(x);
   }
 
   /// Signed addition on the given variables. Counted as one add.
@@ -133,6 +173,18 @@ class ApproxContext {
     counts_.AccumulateAdds(add_approx, n);
     return detail::DotChain(plan_.mul[mul_approx], plan_.add[add_approx], acc,
                             a, stride_a, b, stride_b, n);
+  }
+
+  /// The lane context's per-lane-operand dot for one lane: the plain dot
+  /// over a[0] and b[0] with length n[0].
+  std::int64_t DotAccumulate(std::int64_t acc,
+                             const std::array<const std::int64_t*, 1>& a,
+                             const std::array<const std::int64_t*, 1>& b,
+                             const std::array<std::size_t, 1>& n,
+                             const Partition& operand_rep, VarList mul_vars,
+                             VarList add_vars) noexcept {
+    (void)operand_rep;
+    return DotAccumulate(acc, a[0], 1, b[0], 1, n[0], mul_vars, add_vars);
   }
 
   /// Batched AXPY: y[i] = Add(y[i], Mul(alpha, x[i])) for i in [0, n) —

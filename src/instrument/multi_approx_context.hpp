@@ -53,13 +53,15 @@ class MultiApproxContext {
   using Partition = std::array<std::uint8_t, kMaxLanes>;
 
   /// A lane-parallel signed value: per-lane payloads plus the equality
-  /// partition they carry. Kernels may transform `v` lane-wise with any
-  /// deterministic pure function (negate, shift, abs, scale...) — that
-  /// preserves the partition invariant, so keep `rep` untouched.
+  /// partition they carry. Uncounted wiring (negate, shift, abs...) goes
+  /// through Map, which keeps `rep`.
   struct Lanes {
     std::array<std::int64_t, kMaxLanes> v{};
     Partition rep{};
   };
+
+  /// The value type shared kernel bodies compute with (see ApproxContext).
+  using Value = Lanes;
 
   /// Binds the context to an operator set (copied) and the kernel's variable
   /// count; starts configured with one all-precise lane.
@@ -109,6 +111,28 @@ class MultiApproxContext {
     Lanes out;
     for (std::size_t l = 0; l < num_lanes_; ++l) out.v[l] = value;
     return out;
+  }
+
+  /// Lane `l`'s payload and the partition a value carries.
+  static std::int64_t Lane(const Lanes& x, std::size_t l) noexcept {
+    return x.v[l];
+  }
+  static const Partition& Rep(const Lanes& x) noexcept { return x.rep; }
+
+  /// Uncounted wiring: applies the pure per-value transform `fn` lane-wise.
+  /// Equal inputs map to equal outputs, so the partition is kept.
+  template <class Fn>
+  Lanes Map(Lanes x, Fn fn) const noexcept {
+    for (std::size_t l = 0; l < num_lanes_; ++l) x.v[l] = fn(x.v[l]);
+    return x;
+  }
+
+  /// Writes `x` as output `i` of every lane into a lane-major result with
+  /// `size` outputs per lane: lane l's output i lands at out[l * size + i].
+  void StoreOutput(std::vector<double>& out, std::size_t size, std::size_t i,
+                   const Lanes& x) const noexcept {
+    for (std::size_t l = 0; l < num_lanes_; ++l)
+      out[l * size + i] = static_cast<double>(x.v[l]);
   }
 
   /// Lane-parallel signed addition with a pre-resolved per-lane decision
@@ -223,14 +247,15 @@ class MultiApproxContext {
   }
 
   /// Dot whose A operand is lane-parallel per element (dct's second pass
-  /// reads the first pass's intermediates): groups lanes that agree on the
-  /// descriptors AND on every element's partition, then gathers the
-  /// representative's element values into a contiguous scratch so the
-  /// shared DotChain runs unchanged.
+  /// reads the first pass's intermediates; pipeline stages read the
+  /// previous stage's outputs): groups lanes that agree on the descriptors
+  /// AND on every element's partition, then gathers the representative's
+  /// element values a[i * stride_a] into a contiguous scratch so the shared
+  /// DotChain runs unchanged.
   template <class B>
-  Lanes DotAccumulate(std::int64_t acc, const Lanes* a, const B* b,
-                      std::size_t stride_b, std::size_t n, VarList mul_vars,
-                      VarList add_vars) noexcept {
+  Lanes DotAccumulate(std::int64_t acc, const Lanes* a, std::size_t stride_a,
+                      const B* b, std::size_t stride_b, std::size_t n,
+                      VarList mul_vars, VarList add_vars) noexcept {
     if (n == 0) return Broadcast(acc);
     const std::uint64_t mm = ApproxLaneMask(mul_vars);
     const std::uint64_t am = ApproxLaneMask(add_vars);
@@ -243,7 +268,7 @@ class MultiApproxContext {
         if (keys[m] != keys[l]) continue;
         bool same = true;
         for (std::size_t i = 0; i < n; ++i) {
-          if (a[i].rep[m] != a[i].rep[l]) {
+          if (a[i * stride_a].rep[m] != a[i * stride_a].rep[l]) {
             same = false;
             break;
           }
@@ -261,7 +286,8 @@ class MultiApproxContext {
         out.v[l] = out.v[out.rep[l]];
         continue;
       }
-      for (std::size_t i = 0; i < n; ++i) gather_buf_[i] = a[i].v[l];
+      for (std::size_t i = 0; i < n; ++i)
+        gather_buf_[i] = a[i * stride_a].v[l];
       out.v[l] = detail::DotChain(plans_[l].mul[(mm >> l) & 1],
                                   plans_[l].add[(am >> l) & 1], acc,
                                   gather_buf_.data(), std::size_t{1}, b,

@@ -39,10 +39,12 @@ std::size_t Conv2DKernel::VarOfRow(std::size_t y) const noexcept {
   return band >= row_bands_ ? row_bands_ - 1 : band;
 }
 
-std::vector<double> Conv2DKernel::Run(instrument::ApproxContext& ctx) const {
+template <class Ctx>
+std::vector<double> Conv2DKernel::Body(Ctx& ctx) const {
   const std::size_t out_rows = height_ - 2;
   const std::size_t out_cols = width_ - 2;
-  std::vector<double> out(out_rows * out_cols);
+  const std::size_t out_size = out_rows * out_cols;
+  std::vector<double> out(ctx.NumLanes() * out_size);
   const std::size_t stencil_var = VarOfStencil();
   const std::size_t acc_var = VarOfAccumulator();
   for (std::size_t y = 0; y < out_rows; ++y) {
@@ -50,45 +52,25 @@ std::vector<double> Conv2DKernel::Run(instrument::ApproxContext& ctx) const {
     for (std::size_t x = 0; x < out_cols; ++x) {
       // Three batched 3-MACs (one per stencil row) chained through `acc` —
       // same dy-major/dx-minor operation order as the scalar loops.
-      std::int64_t acc = 0;
+      typename Ctx::Value acc = ctx.Broadcast(0);
       for (std::size_t dy = 0; dy < 3; ++dy) {
         acc = ctx.DotAccumulate(acc, &image_[(y + dy) * width_ + x], 1,
                                 &stencil_[dy * 3], 1, 3,
                                 {row_var, stencil_var}, {acc_var});
       }
-      out[y * out_cols + x] = static_cast<double>(acc);
+      ctx.StoreOutput(out, out_size, y * out_cols + x, acc);
     }
   }
   return out;
 }
 
+std::vector<double> Conv2DKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
 std::vector<double> Conv2DKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  const std::size_t lanes = ctx.NumLanes();
-  const std::size_t out_rows = height_ - 2;
-  const std::size_t out_cols = width_ - 2;
-  const std::size_t out_size = out_rows * out_cols;
-  std::vector<double> out(lanes * out_size);
-  const std::size_t stencil_var = VarOfStencil();
-  const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t y = 0; y < out_rows; ++y) {
-    const std::size_t row_var = VarOfRow(y);
-    for (std::size_t x = 0; x < out_cols; ++x) {
-      // The three stencil-row dots chain through a lane-parallel
-      // accumulator; the partition is constant per output (same variable
-      // groups all three calls), so each distinct descriptor pair computes
-      // the 9-MAC chain once.
-      auto acc = ctx.Broadcast(0);
-      for (std::size_t dy = 0; dy < 3; ++dy) {
-        acc = ctx.DotAccumulate(acc, &image_[(y + dy) * width_ + x], 1,
-                                &stencil_[dy * 3], 1, 3,
-                                {row_var, stencil_var}, {acc_var});
-      }
-      for (std::size_t l = 0; l < lanes; ++l)
-        out[l * out_size + y * out_cols + x] = static_cast<double>(acc.v[l]);
-    }
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

@@ -54,6 +54,11 @@ class Conv2DKernel final : public Kernel {
   }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::size_t height_;
   std::size_t width_;
   std::size_t row_bands_;

@@ -36,73 +36,49 @@ DctKernel::DctKernel(std::size_t blocks, std::uint64_t seed)
 
 const std::string& DctKernel::Name() const noexcept { return name_; }
 
-std::vector<double> DctKernel::Run(instrument::ApproxContext& ctx) const {
-  std::vector<double> out(blocks_ * 64);
+template <class Ctx>
+std::vector<double> DctKernel::Body(Ctx& ctx) const {
+  const std::size_t out_size = blocks_ * 64;
+  std::vector<double> out(ctx.NumLanes() * out_size);
   const std::size_t px = VarOfPixels();
   const std::size_t cf = VarOfCoeffs();
   const std::size_t ac = VarOfAccumulator();
-  std::int64_t temp[64];  // C * X, rescaled to ~pixel magnitude
+  const auto shift14 = [](std::int64_t v) { return v >> 14; };
+  typename Ctx::Value temp[64];  // C * X, rescaled to ~pixel magnitude
 
   for (std::size_t b = 0; b < blocks_; ++b) {
     const std::uint8_t* block = &pixels_[b * 64];
     // Pass 1: T = (C * X) >> 14  (row transform). Each entry is one batched
-    // 8-MAC: DCT row (unit stride) dot pixel column (stride 8).
+    // 8-MAC: DCT row (unit stride, first operand) dot pixel column (stride
+    // 8); the rescale is wiring, not an ALU op.
     for (std::size_t u = 0; u < 8; ++u) {
       for (std::size_t j = 0; j < 8; ++j) {
-        const std::int64_t acc = ctx.DotAccumulate(
-            0, &dct_q14_[u * 8], 1, &block[j], 8, 8, {cf, px}, {ac});
-        temp[u * 8 + j] = acc >> 14;  // rescale (wiring, not an ALU op)
+        temp[u * 8 + j] = ctx.Map(
+            ctx.DotAccumulate(0, &dct_q14_[u * 8], 1, &block[j], 8, 8,
+                              {cf, px}, {ac}),
+            shift14);
       }
     }
     // Pass 2: Y = T * C^T (column transform), output in Q14 — both operands
     // unit stride.
     for (std::size_t u = 0; u < 8; ++u) {
       for (std::size_t v = 0; v < 8; ++v) {
-        const std::int64_t acc = ctx.DotAccumulate(
-            0, &temp[u * 8], 1, &dct_q14_[v * 8], 1, 8, {px, cf}, {ac});
-        out[b * 64 + u * 8 + v] = static_cast<double>(acc);
+        ctx.StoreOutput(out, out_size, b * 64 + u * 8 + v,
+                        ctx.DotAccumulate(0, &temp[u * 8], 1, &dct_q14_[v * 8],
+                                          1, 8, {px, cf}, {ac}));
       }
     }
   }
   return out;
 }
 
+std::vector<double> DctKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
 std::vector<double> DctKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  using Lanes = instrument::MultiApproxContext::Lanes;
-  const std::size_t lanes = ctx.NumLanes();
-  const std::size_t out_size = blocks_ * 64;
-  std::vector<double> out(lanes * out_size);
-  const std::size_t px = VarOfPixels();
-  const std::size_t cf = VarOfCoeffs();
-  const std::size_t ac = VarOfAccumulator();
-  Lanes temp[64];
-
-  for (std::size_t b = 0; b < blocks_; ++b) {
-    const std::uint8_t* block = &pixels_[b * 64];
-    for (std::size_t u = 0; u < 8; ++u) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        Lanes acc = ctx.DotAccumulate(0, &dct_q14_[u * 8], 1, &block[j], 8, 8,
-                                      {cf, px}, {ac});
-        // >>14 rescale is wiring (lane-wise, partition preserved).
-        for (std::size_t l = 0; l < lanes; ++l) acc.v[l] >>= 14;
-        temp[u * 8 + j] = acc;
-      }
-    }
-    // Pass 2 reads pass 1's lane-parallel intermediates: the lane-operand
-    // dot groups lanes that agree on both the descriptors and every
-    // element's partition.
-    for (std::size_t u = 0; u < 8; ++u) {
-      for (std::size_t v = 0; v < 8; ++v) {
-        const Lanes acc = ctx.DotAccumulate(0, &temp[u * 8], &dct_q14_[v * 8],
-                                            1, 8, {px, cf}, {ac});
-        for (std::size_t l = 0; l < lanes; ++l)
-          out[l * out_size + b * 64 + u * 8 + v] =
-              static_cast<double>(acc.v[l]);
-      }
-    }
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

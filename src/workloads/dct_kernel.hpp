@@ -51,6 +51,11 @@ class DctKernel final : public Kernel {
   }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::size_t blocks_;
   std::string name_;
   std::vector<std::uint8_t> pixels_;     ///< blocks_ x 8 x 8

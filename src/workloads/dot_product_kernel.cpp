@@ -25,37 +25,30 @@ DotProductKernel::DotProductKernel(std::size_t n, std::size_t blocks,
 
 const std::string& DotProductKernel::Name() const noexcept { return name_; }
 
-std::vector<double> DotProductKernel::Run(
-    instrument::ApproxContext& ctx) const {
-  std::vector<double> out(blocks_);
+template <class Ctx>
+std::vector<double> DotProductKernel::Body(Ctx& ctx) const {
+  std::vector<double> out(ctx.NumLanes() * blocks_);
   const std::size_t block_len = a_.size() / blocks_;
   for (std::size_t g = 0; g < blocks_; ++g) {
     const std::size_t begin = g * block_len;
     const std::size_t end = g + 1 == blocks_ ? a_.size() : begin + block_len;
     // One batched MAC chain per output block.
-    const std::int64_t acc =
-        ctx.DotAccumulate(0, &a_[begin], 1, &b_[begin], 1, end - begin,
-                          {VarOfA(), VarOfB()}, {VarOfAccumulator()});
-    out[g] = static_cast<double>(acc);
+    ctx.StoreOutput(out, blocks_, g,
+                    ctx.DotAccumulate(0, &a_[begin], 1, &b_[begin], 1,
+                                      end - begin, {VarOfA(), VarOfB()},
+                                      {VarOfAccumulator()}));
   }
   return out;
 }
 
+std::vector<double> DotProductKernel::Run(
+    instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
 std::vector<double> DotProductKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  const std::size_t lanes = ctx.NumLanes();
-  std::vector<double> out(lanes * blocks_);
-  const std::size_t block_len = a_.size() / blocks_;
-  for (std::size_t g = 0; g < blocks_; ++g) {
-    const std::size_t begin = g * block_len;
-    const std::size_t end = g + 1 == blocks_ ? a_.size() : begin + block_len;
-    const auto acc =
-        ctx.DotAccumulate(0, &a_[begin], 1, &b_[begin], 1, end - begin,
-                          {VarOfA(), VarOfB()}, {VarOfAccumulator()});
-    for (std::size_t l = 0; l < lanes; ++l)
-      out[l * blocks_ + g] = static_cast<double>(acc.v[l]);
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

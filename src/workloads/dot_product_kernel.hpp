@@ -41,6 +41,11 @@ class DotProductKernel final : public Kernel {
   std::size_t Blocks() const noexcept { return blocks_; }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::size_t blocks_;
   std::string name_;
   std::vector<std::uint8_t> a_;

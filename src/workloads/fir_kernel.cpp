@@ -53,7 +53,8 @@ std::size_t FirKernel::VarOfAccumulator() const noexcept {
   return granularity_ == FirGranularity::kPerArray ? 2 : 1 + h_.size();
 }
 
-std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
+template <class Ctx>
+std::vector<double> FirKernel::Body(Ctx& ctx) const {
   // Tap-major formulation: output i accumulates the tap products
   // h[0]*x[i], h[1]*x[i-1], ... in ascending k — exactly the operand
   // sequence of the historical sample-major loop — but iterating tap-major
@@ -61,39 +62,29 @@ std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
   // (selection resolution and op accounting hoisted out of the inner loop;
   // per-tap variables make the per-output dot non-uniform, AXPY is the
   // batchable axis).
-  std::vector<std::int64_t> acc(x_.size(), 0);  // Q30 accumulators
+  const std::size_t size = x_.size();
+  std::vector<typename Ctx::Value> acc(size, ctx.Broadcast(0));  // Q30
   const std::size_t x_var = VarOfInput();
   const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t k = 0; k < h_.size() && k < x_.size(); ++k) {
+  for (std::size_t k = 0; k < h_.size() && k < size; ++k) {
     // acc[i] += h[k] * x[i-k] for all outputs i >= k (zero-padded history
     // contributes nothing below that).
-    ctx.AxpyAccumulate(acc.data() + k, x_.data(), x_.size() - k,
+    ctx.AxpyAccumulate(acc.data() + k, x_.data(), size - k,
                        static_cast<std::int64_t>(h_[k]), {VarOfTap(k), x_var},
                        {acc_var});
   }
-  std::vector<double> out(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i)
-    out[i] = static_cast<double>(acc[i]);
+  std::vector<double> out(ctx.NumLanes() * size);
+  for (std::size_t i = 0; i < size; ++i) ctx.StoreOutput(out, size, i, acc[i]);
   return out;
+}
+
+std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
 }
 
 std::vector<double> FirKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  const std::size_t lanes = ctx.NumLanes();
-  // Zero-initialized Lanes are Broadcast(0): all lanes one dedup group.
-  std::vector<instrument::MultiApproxContext::Lanes> acc(x_.size());
-  const std::size_t x_var = VarOfInput();
-  const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t k = 0; k < h_.size() && k < x_.size(); ++k) {
-    ctx.AxpyAccumulate(acc.data() + k, x_.data(), x_.size() - k,
-                       static_cast<std::int64_t>(h_[k]), {VarOfTap(k), x_var},
-                       {acc_var});
-  }
-  std::vector<double> out(lanes * x_.size());
-  for (std::size_t l = 0; l < lanes; ++l)
-    for (std::size_t i = 0; i < x_.size(); ++i)
-      out[l * x_.size() + i] = static_cast<double>(acc[i].v[l]);
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

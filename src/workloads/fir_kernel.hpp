@@ -69,6 +69,11 @@ class FirKernel final : public Kernel {
   }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   FirGranularity granularity_;
   std::string name_;
   std::vector<std::int32_t> x_;  ///< Q15 input samples

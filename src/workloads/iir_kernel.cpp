@@ -32,37 +32,45 @@ IirKernel::IirKernel(std::size_t num_samples, double cutoff,
 
 const std::string& IirKernel::Name() const noexcept { return name_; }
 
-std::vector<double> IirKernel::Run(instrument::ApproxContext& ctx) const {
-  std::vector<double> out(x_.size());
-  const std::size_t vx = VarOfInput();
-  const std::size_t vb = VarOfFeedForward();
-  const std::size_t va = VarOfFeedback();
-  const std::size_t vacc = VarOfAccumulator();
+template <class Ctx>
+std::vector<double> IirKernel::Body(Ctx& ctx) const {
+  using Value = typename Ctx::Value;
+  const std::size_t size = x_.size();
+  std::vector<double> out(ctx.NumLanes() * size);
   // The recurrence cannot batch across samples, but the three selection
   // decisions are loop-invariant: resolve them once and run the sample loop
   // on pre-resolved (plan-dispatched) ops.
-  const bool ff = ctx.AnyApproximated({vb, vx});
-  const bool fb = ctx.AnyApproximated({va, vacc});
-  const bool ac = ctx.AnyApproximated({vacc});
+  const auto ff = ctx.ApproxLaneMask({VarOfFeedForward(), VarOfInput()});
+  const auto fb = ctx.ApproxLaneMask({VarOfFeedback(), VarOfAccumulator()});
+  const auto ac = ctx.ApproxLaneMask({VarOfAccumulator()});
+  const Value b0 = ctx.Broadcast(b_q15_[0]);
+  const Value b1 = ctx.Broadcast(b_q15_[1]);
+  const Value b2 = ctx.Broadcast(b_q15_[2]);
+  const Value a1 = ctx.Broadcast(a_q15_[0]);
+  const Value a2 = ctx.Broadcast(a_q15_[1]);
 
-  std::int64_t x1 = 0;
-  std::int64_t x2 = 0;
-  std::int64_t y1 = 0;  // Q15 feedback state
-  std::int64_t y2 = 0;
-  for (std::size_t n = 0; n < x_.size(); ++n) {
-    const std::int64_t xn = x_[n];
-    std::int64_t acc = 0;  // Q30
-    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b_q15_[0], xn));
-    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b_q15_[1], x1));
-    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b_q15_[2], x2));
+  Value x1 = ctx.Broadcast(0);
+  Value x2 = ctx.Broadcast(0);
+  Value y1 = ctx.Broadcast(0);  // Q15 feedback state
+  Value y2 = ctx.Broadcast(0);
+  for (std::size_t n = 0; n < size; ++n) {
+    const Value xn = ctx.Broadcast(x_[n]);
+    Value acc = ctx.Broadcast(0);  // Q30
+    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b0, xn));
+    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b1, x1));
+    acc = ctx.AddResolved(ac, acc, ctx.MulResolved(ff, b2, x2));
     // Feedback taps: -a1*y1 (a1 stored halved -> product doubled) - a2*y2.
-    const std::int64_t fb1 = ctx.MulResolved(fb, a_q15_[0], y1);
-    acc = ctx.AddResolved(ac, acc, -2 * fb1);
-    const std::int64_t fb2 = ctx.MulResolved(fb, a_q15_[1], y2);
-    acc = ctx.AddResolved(ac, acc, -fb2);
+    // The -2*, unary minus and >>15 rescale are wiring, not counted ops.
+    const Value fb1 = ctx.MulResolved(fb, a1, y1);
+    acc = ctx.AddResolved(
+        ac, acc, ctx.Map(fb1, [](std::int64_t v) { return -2 * v; }));
+    const Value fb2 = ctx.MulResolved(fb, a2, y2);
+    acc = ctx.AddResolved(ac, acc,
+                          ctx.Map(fb2, [](std::int64_t v) { return -v; }));
 
-    const std::int64_t yn = acc >> 15;  // rescale Q30 -> Q15 (wiring)
-    out[n] = static_cast<double>(yn);
+    const Value yn =
+        ctx.Map(acc, [](std::int64_t v) { return v >> 15; });  // Q30 -> Q15
+    ctx.StoreOutput(out, size, n, yn);
     x2 = x1;
     x1 = xn;
     y2 = y1;
@@ -71,51 +79,13 @@ std::vector<double> IirKernel::Run(instrument::ApproxContext& ctx) const {
   return out;
 }
 
+std::vector<double> IirKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
 std::vector<double> IirKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  using Lanes = instrument::MultiApproxContext::Lanes;
-  const std::size_t lanes = ctx.NumLanes();
-  std::vector<double> out(lanes * x_.size());
-  // Same loop-invariant decision hoisting as Run(), as per-lane masks.
-  const std::uint64_t ff = ctx.ApproxLaneMask({VarOfFeedForward(), VarOfInput()});
-  const std::uint64_t fb = ctx.ApproxLaneMask({VarOfFeedback(), VarOfAccumulator()});
-  const std::uint64_t ac = ctx.ApproxLaneMask({VarOfAccumulator()});
-  // The -2*, unary minus, and >>15 rescales below are wiring, not counted
-  // ALU ops: applied lane-wise they preserve the dedup partition.
-  const auto lanewise = [&lanes](Lanes x, auto fn) {
-    for (std::size_t l = 0; l < lanes; ++l) x.v[l] = fn(x.v[l]);
-    return x;
-  };
-  Lanes x1 = ctx.Broadcast(0);
-  Lanes x2 = ctx.Broadcast(0);
-  Lanes y1 = ctx.Broadcast(0);  // Q15 feedback state
-  Lanes y2 = ctx.Broadcast(0);
-  for (std::size_t n = 0; n < x_.size(); ++n) {
-    const Lanes xn = ctx.Broadcast(x_[n]);
-    Lanes acc = ctx.Broadcast(0);  // Q30
-    acc = ctx.AddResolved(
-        ac, acc, ctx.MulResolved(ff, ctx.Broadcast(b_q15_[0]), xn));
-    acc = ctx.AddResolved(
-        ac, acc, ctx.MulResolved(ff, ctx.Broadcast(b_q15_[1]), x1));
-    acc = ctx.AddResolved(
-        ac, acc, ctx.MulResolved(ff, ctx.Broadcast(b_q15_[2]), x2));
-    const Lanes fb1 = ctx.MulResolved(fb, ctx.Broadcast(a_q15_[0]), y1);
-    acc = ctx.AddResolved(
-        ac, acc, lanewise(fb1, [](std::int64_t v) { return -2 * v; }));
-    const Lanes fb2 = ctx.MulResolved(fb, ctx.Broadcast(a_q15_[1]), y2);
-    acc = ctx.AddResolved(
-        ac, acc, lanewise(fb2, [](std::int64_t v) { return -v; }));
-
-    const Lanes yn =
-        lanewise(acc, [](std::int64_t v) { return v >> 15; });  // Q30 -> Q15
-    for (std::size_t l = 0; l < lanes; ++l)
-      out[l * x_.size() + n] = static_cast<double>(yn.v[l]);
-    x2 = x1;
-    x1 = xn;
-    y2 = y1;
-    y1 = yn;
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

@@ -53,6 +53,11 @@ class IirKernel final : public Kernel {
   const std::int32_t* FeedbackQ15() const noexcept { return a_q15_; }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   signal::BiquadCoeffs design_;
   std::string name_;
   std::vector<std::int32_t> x_;  ///< Q15 input

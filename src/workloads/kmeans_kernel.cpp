@@ -35,93 +35,43 @@ KMeans1DKernel::KMeans1DKernel(std::size_t n, std::size_t clusters,
 
 const std::string& KMeans1DKernel::Name() const noexcept { return name_; }
 
-std::vector<double> KMeans1DKernel::Run(
-    instrument::ApproxContext& ctx) const {
-  const std::size_t n = points_.size();
-  const std::size_t k = centroids_.size();
-  // Group decisions hoisted out of the n x k loop (iir-style).
-  const bool diff_approx =
-      ctx.AnyApproximated({VarOfPoints(), VarOfCentroids()});
-  const bool dist_approx = ctx.AnyApproximated({VarOfDistance()});
-
-  // Pass 1 — assignment: signed squared distance to every centroid, argmin
-  // per point (the comparisons are not counted arithmetic).
-  std::vector<std::int64_t> best_diff(n);
-  std::vector<std::size_t> assign(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int64_t best_d = std::numeric_limits<std::int64_t>::max();
-    std::size_t best_j = 0;
-    std::int64_t best_diff_i = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::int64_t diff =
-          ctx.AddResolved(diff_approx, points_[i], -centroids_[j]);
-      const std::int64_t d = ctx.MulResolved(dist_approx, diff, diff);
-      if (d < best_d) {
-        best_d = d;
-        best_j = j;
-        best_diff_i = diff;
-      }
-    }
-    assign[i] = best_j;
-    best_diff[i] = best_diff_i;
-  }
-
-  // Pass 2 — inertia: one batched signed MAC chain per cluster over the
-  // winning differences, plus the assigned count (itself error-sensitive:
-  // approximation moves points across cluster boundaries).
-  std::vector<double> out(2 * k);
-  std::vector<std::int64_t> scratch;
-  scratch.reserve(n);
-  for (std::size_t j = 0; j < k; ++j) {
-    scratch.clear();
-    for (std::size_t i = 0; i < n; ++i)
-      if (assign[i] == j) scratch.push_back(best_diff[i]);
-    const std::int64_t inertia = ctx.DotAccumulate(
-        0, scratch.data(), 1, scratch.data(), 1, scratch.size(),
-        {VarOfDistance()}, {VarOfAccumulator()});
-    out[2 * j] = static_cast<double>(inertia);
-    out[2 * j + 1] = static_cast<double>(scratch.size());
-  }
-  return out;
-}
-
-std::vector<double> KMeans1DKernel::RunLanes(
-    instrument::MultiApproxContext& ctx) const {
-  using Ctx = instrument::MultiApproxContext;
-  using Lanes = Ctx::Lanes;
+template <class Ctx>
+std::vector<double> KMeans1DKernel::Body(Ctx& ctx) const {
+  using Value = typename Ctx::Value;
+  // Per-lane control flow (the argmin, per-group scratch) indexes lanes up
+  // to Ctx::kMaxLanes; with the scalar context that is 1 and the lane loops
+  // fold away.
   constexpr std::size_t kMaxLanes = Ctx::kMaxLanes;
   const std::size_t lanes = ctx.NumLanes();
   const std::size_t n = points_.size();
   const std::size_t k = centroids_.size();
-  const std::uint64_t diff_mask =
-      ctx.ApproxLaneMask({VarOfPoints(), VarOfCentroids()});
-  const std::uint64_t dist_mask = ctx.ApproxLaneMask({VarOfDistance()});
+  // Group decisions hoisted out of the n x k loop (iir-style).
+  const auto diff_mask = ctx.ApproxLaneMask({VarOfPoints(), VarOfCentroids()});
+  const auto dist_mask = ctx.ApproxLaneMask({VarOfDistance()});
 
-  // Pass 1 — assignment per lane. The decision masks are constant across
-  // the n x k loop, so every distance shares one partition P: lanes grouped
-  // under P see identical distances, hence identical assignments.
+  // Pass 1 — assignment: signed squared distance to every centroid, argmin
+  // per point and lane (the comparisons are not counted arithmetic). The
+  // decision masks are constant across the n x k loop, so every distance
+  // shares one partition P: lanes grouped under P see identical distances,
+  // hence identical assignments.
   std::vector<std::int64_t> best_diff(n * kMaxLanes);
   std::vector<std::uint32_t> assign(n * kMaxLanes);
-  Ctx::Partition p{};
-  bool have_p = false;
+  typename Ctx::Partition p{};
   for (std::size_t i = 0; i < n; ++i) {
     std::array<std::int64_t, kMaxLanes> best_d;
     best_d.fill(std::numeric_limits<std::int64_t>::max());
     std::array<std::uint32_t, kMaxLanes> best_j{};
     std::array<std::int64_t, kMaxLanes> best_diff_i{};
     for (std::size_t j = 0; j < k; ++j) {
-      const Lanes diff = ctx.AddResolved(diff_mask, ctx.Broadcast(points_[i]),
+      const Value diff = ctx.AddResolved(diff_mask, ctx.Broadcast(points_[i]),
                                          ctx.Broadcast(-centroids_[j]));
-      const Lanes d = ctx.MulResolved(dist_mask, diff, diff);
-      if (!have_p) {
-        p = d.rep;
-        have_p = true;
-      }
+      const Value d = ctx.MulResolved(dist_mask, diff, diff);
+      if (i == 0 && j == 0) p = Ctx::Rep(d);
       for (std::size_t l = 0; l < lanes; ++l) {
-        if (d.v[l] < best_d[l]) {
-          best_d[l] = d.v[l];
+        if (Ctx::Lane(d, l) < best_d[l]) {
+          best_d[l] = Ctx::Lane(d, l);
           best_j[l] = static_cast<std::uint32_t>(j);
-          best_diff_i[l] = diff.v[l];
+          best_diff_i[l] = Ctx::Lane(diff, l);
         }
       }
     }
@@ -131,12 +81,17 @@ std::vector<double> KMeans1DKernel::RunLanes(
     }
   }
 
-  // Pass 2 — inertia per cluster: scratch built once per dedup group (its
-  // representative lane), every grouped lane pointing at the same buffer;
-  // the per-lane dot charges each lane its own member count.
+  // Pass 2 — inertia: one batched signed MAC chain per cluster over the
+  // winning differences, plus the assigned count (itself error-sensitive:
+  // approximation moves points across cluster boundaries). Scratch is built
+  // once per dedup group (its representative lane), every grouped lane
+  // pointing at the same buffer; the per-lane dot charges each lane its own
+  // member count.
   const std::size_t out_size = 2 * k;
   std::vector<double> out(lanes * out_size);
   std::array<std::vector<std::int64_t>, kMaxLanes> scratch;
+  for (std::size_t l = 0; l < lanes; ++l)
+    if (p[l] == l) scratch[l].reserve(n);
   for (std::size_t j = 0; j < k; ++j) {
     std::array<const std::int64_t*, kMaxLanes> aptr{};
     std::array<std::size_t, kMaxLanes> alen{};
@@ -151,15 +106,23 @@ std::vector<double> KMeans1DKernel::RunLanes(
       aptr[l] = scratch[p[l]].data();
       alen[l] = scratch[p[l]].size();
     }
-    const Lanes inertia =
-        ctx.DotAccumulate(0, aptr, aptr, alen, p, {VarOfDistance()},
-                          {VarOfAccumulator()});
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[l * out_size + 2 * j] = static_cast<double>(inertia.v[l]);
+    ctx.StoreOutput(out, out_size, 2 * j,
+                    ctx.DotAccumulate(0, aptr, aptr, alen, p,
+                                      {VarOfDistance()},
+                                      {VarOfAccumulator()}));
+    for (std::size_t l = 0; l < lanes; ++l)
       out[l * out_size + 2 * j + 1] = static_cast<double>(alen[l]);
-    }
   }
   return out;
+}
+
+std::vector<double> KMeans1DKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
+std::vector<double> KMeans1DKernel::RunLanes(
+    instrument::MultiApproxContext& ctx) const {
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

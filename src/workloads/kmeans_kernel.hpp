@@ -51,6 +51,11 @@ class KMeans1DKernel final : public Kernel {
   std::size_t Clusters() const noexcept { return centroids_.size(); }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::string name_;
   std::vector<std::int16_t> points_;
   std::vector<std::int32_t> centroids_;

@@ -51,8 +51,10 @@ std::size_t MatMulKernel::VarOfAccumulator() const noexcept {
   return granularity_ == MatMulGranularity::kPerMatrix ? 2 : 2 * n_;
 }
 
-std::vector<double> MatMulKernel::Run(instrument::ApproxContext& ctx) const {
-  std::vector<double> out(n_ * n_);
+template <class Ctx>
+std::vector<double> MatMulKernel::Body(Ctx& ctx) const {
+  const std::size_t out_size = n_ * n_;
+  std::vector<double> out(ctx.NumLanes() * out_size);
   const std::size_t acc_var = VarOfAccumulator();
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t row_var = VarOfARow(i);
@@ -61,34 +63,21 @@ std::vector<double> MatMulKernel::Run(instrument::ApproxContext& ctx) const {
       // One batched MAC chain per output entry: row of A dot column of B
       // (read from the transposed copy, so both operands are unit-stride),
       // selection and dispatch resolved once.
-      const std::int64_t acc =
-          ctx.DotAccumulate(0, &a_[i * n_], 1, &bt_[j * n_], 1, n_,
-                            {row_var, col_var}, {acc_var});
-      out[i * n_ + j] = static_cast<double>(acc);
+      ctx.StoreOutput(out, out_size, i * n_ + j,
+                      ctx.DotAccumulate(0, &a_[i * n_], 1, &bt_[j * n_], 1,
+                                        n_, {row_var, col_var}, {acc_var}));
     }
   }
   return out;
 }
 
+std::vector<double> MatMulKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
+}
+
 std::vector<double> MatMulKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  const std::size_t lanes = ctx.NumLanes();
-  const std::size_t out_size = n_ * n_;
-  std::vector<double> out(lanes * out_size);
-  const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t row_var = VarOfARow(i);
-    for (std::size_t j = 0; j < n_; ++j) {
-      const std::size_t col_var = VarOfBCol(j);
-      // Shared operands + shared zero start: one traversal, one chain per
-      // distinct descriptor pair across the configured lanes.
-      const auto acc = ctx.DotAccumulate(0, &a_[i * n_], 1, &bt_[j * n_], 1,
-                                         n_, {row_var, col_var}, {acc_var});
-      for (std::size_t l = 0; l < lanes; ++l)
-        out[l * out_size + i * n_ + j] = static_cast<double>(acc.v[l]);
-    }
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

@@ -62,6 +62,11 @@ class MatMulKernel final : public Kernel {
   }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::size_t n_;
   MatMulGranularity granularity_;
   std::string name_;

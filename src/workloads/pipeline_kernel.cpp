@@ -4,10 +4,12 @@
 #include <numbers>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "metrics/error_metrics.hpp"
 #include "util/rng.hpp"
+#include "workloads/sobel_kernel.hpp"
 
 namespace axdse::workloads {
 
@@ -17,14 +19,47 @@ using instrument::ApproxContext;
 using instrument::MultiApproxContext;
 using Lanes = MultiApproxContext::Lanes;
 
-/// Applies a pure per-value transform lane-wise (wiring, not counted
-/// arithmetic): equal inputs map to equal outputs, so the dedup partition
-/// is preserved unchanged.
-template <class Fn>
-Lanes Lanewise(std::size_t lanes, Lanes x, Fn fn) {
-  for (std::size_t l = 0; l < lanes; ++l) x.v[l] = fn(x.v[l]);
-  return x;
-}
+/// Stage plumbing shared by the built-in stages: name, local variables and
+/// sizes, and the Run/RunLanes pair forwarded to the derived stage's one
+/// `Body<Ctx>(ctx, var_base, in, out)`.
+template <class Derived>
+class StageOf : public PipelineKernel::Stage {
+ public:
+  StageOf(std::string name, std::vector<std::string> vars,
+          std::size_t input_size, std::size_t output_size)
+      : name_(std::move(name)),
+        vars_(std::move(vars)),
+        input_size_(input_size),
+        output_size_(output_size) {}
+
+  const std::string& StageName() const noexcept final { return name_; }
+  const std::vector<std::string>& LocalVariables() const noexcept final {
+    return vars_;
+  }
+  std::size_t InputSize() const noexcept final { return input_size_; }
+  std::size_t OutputSize() const noexcept final { return output_size_; }
+
+  void Run(ApproxContext& ctx, std::size_t base,
+           std::span<const std::int64_t> in,
+           std::span<std::int64_t> out) const final {
+    static_cast<const Derived&>(*this).Body(ctx, base, in, out);
+  }
+  void RunLanes(MultiApproxContext& ctx, std::size_t base,
+                std::span<const Lanes> in,
+                std::span<Lanes> out) const final {
+    static_cast<const Derived&>(*this).Body(ctx, base, in, out);
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string> vars_;
+  std::size_t input_size_;
+  std::size_t output_size_;
+};
+
+/// Wiring shared by the stages: Q14 -> pixel-scale rescale and |x|.
+constexpr auto kShift14 = [](std::int64_t v) { return v >> 14; };
+constexpr auto kAbs = [](std::int64_t v) { return v < 0 ? -v : v; };
 
 /// Orthonormal order-8 DCT-II matrix in Q14 (same construction as
 /// DctKernel): C[u][k] = s(u) * cos((2k+1) u pi / 16).
@@ -49,39 +84,36 @@ std::vector<std::int32_t> BuildDctMatrixQ14() {
 // Inverse: X = (C^T * Y * C) with >>14 after each pass; expects a
 // pixel-scale input (the quantize stage dequantizes to pixel scale), so MAC
 // products stay in the same range as the forward transform's second pass.
-class DctStage final : public PipelineKernel::Stage {
+// The input is the first multiplier operand throughout (DctKernel puts the
+// coefficient first in its pass 1, so the two do not share a body).
+class DctStage final : public StageOf<DctStage> {
  public:
   DctStage(std::string name, std::size_t blocks, bool inverse)
-      : name_(std::move(name)),
+      : StageOf(std::move(name), {"input", "coeffs", "acc"}, blocks * 64,
+                blocks * 64),
         blocks_(blocks),
         inverse_(inverse),
-        vars_({"input", "coeffs", "acc"}),
         c_q14_(BuildDctMatrixQ14()) {}
 
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return blocks_ * 64; }
-  std::size_t OutputSize() const noexcept override { return blocks_ * 64; }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
+ private:
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
     const std::size_t vin = base, vcf = base + 1, vac = base + 2;
-    std::int64_t temp[64];
+    typename Ctx::Value temp[64];
     for (std::size_t b = 0; b < blocks_; ++b) {
-      const std::int64_t* block = &in[b * 64];
+      const auto* block = &in[b * 64];
       if (!inverse_) {
         // Pass 1: T = (C * X) >> 14 — input column j (stride 8) dot DCT
-        // row u (unit stride); input is the first multiplier operand in
-        // both the scalar and the lane path.
+        // row u (unit stride).
         for (std::size_t u = 0; u < 8; ++u)
           for (std::size_t j = 0; j < 8; ++j)
             temp[u * 8 + j] =
-                ctx.DotAccumulate(0, &block[j], 8, &c_q14_[u * 8], 1, 8,
-                                  {vin, vcf}, {vac}) >>
-                14;
+                ctx.Map(ctx.DotAccumulate(0, &block[j], 8, &c_q14_[u * 8], 1,
+                                          8, {vin, vcf}, {vac}),
+                        kShift14);
         // Pass 2: Y = T * C^T, output in Q14 — both operands unit stride.
         for (std::size_t u = 0; u < 8; ++u)
           for (std::size_t v = 0; v < 8; ++v)
@@ -93,70 +125,22 @@ class DctStage final : public PipelineKernel::Stage {
         for (std::size_t k = 0; k < 8; ++k)
           for (std::size_t v = 0; v < 8; ++v)
             temp[k * 8 + v] =
-                ctx.DotAccumulate(0, &block[v], 8, &c_q14_[k], 8, 8,
-                                  {vin, vcf}, {vac}) >>
-                14;
+                ctx.Map(ctx.DotAccumulate(0, &block[v], 8, &c_q14_[k], 8, 8,
+                                          {vin, vcf}, {vac}),
+                        kShift14);
         // Pass 2: X = (T * C) >> 14 — back to pixel scale.
         for (std::size_t k = 0; k < 8; ++k)
           for (std::size_t l = 0; l < 8; ++l)
             out[b * 64 + k * 8 + l] =
-                ctx.DotAccumulate(0, &temp[k * 8], 1, &c_q14_[l], 8, 8,
-                                  {vin, vcf}, {vac}) >>
-                14;
+                ctx.Map(ctx.DotAccumulate(0, &temp[k * 8], 1, &c_q14_[l], 8,
+                                          8, {vin, vcf}, {vac}),
+                        kShift14);
       }
     }
   }
 
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t vin = base, vcf = base + 1, vac = base + 2;
-    const std::size_t lanes = ctx.NumLanes();
-    const auto shift14 = [](std::int64_t v) { return v >> 14; };
-    Lanes temp[64];
-    Lanes col[8];
-    for (std::size_t b = 0; b < blocks_; ++b) {
-      const Lanes* block = &in[b * 64];
-      if (!inverse_) {
-        for (std::size_t u = 0; u < 8; ++u)
-          for (std::size_t j = 0; j < 8; ++j) {
-            for (std::size_t k = 0; k < 8; ++k) col[k] = block[k * 8 + j];
-            temp[u * 8 + j] = Lanewise(
-                lanes,
-                ctx.DotAccumulate(0, col, &c_q14_[u * 8], 1, 8, {vin, vcf},
-                                  {vac}),
-                shift14);
-          }
-        for (std::size_t u = 0; u < 8; ++u)
-          for (std::size_t v = 0; v < 8; ++v)
-            out[b * 64 + u * 8 + v] = ctx.DotAccumulate(
-                0, &temp[u * 8], &c_q14_[v * 8], 1, 8, {vin, vcf}, {vac});
-      } else {
-        for (std::size_t k = 0; k < 8; ++k)
-          for (std::size_t v = 0; v < 8; ++v) {
-            for (std::size_t u = 0; u < 8; ++u) col[u] = block[u * 8 + v];
-            temp[k * 8 + v] = Lanewise(
-                lanes,
-                ctx.DotAccumulate(0, col, &c_q14_[k], 8, 8, {vin, vcf},
-                                  {vac}),
-                shift14);
-          }
-        for (std::size_t k = 0; k < 8; ++k)
-          for (std::size_t l = 0; l < 8; ++l)
-            out[b * 64 + k * 8 + l] = Lanewise(
-                lanes,
-                ctx.DotAccumulate(0, &temp[k * 8], &c_q14_[l], 8, 8,
-                                  {vin, vcf}, {vac}),
-                shift14);
-      }
-    }
-  }
-
- private:
-  std::string name_;
   std::size_t blocks_;
   bool inverse_;
-  std::vector<std::string> vars_;
   std::vector<std::int32_t> c_q14_;
 };
 
@@ -166,201 +150,90 @@ class DctStage final : public PipelineKernel::Stage {
 // input is rescaled to pixel scale (wiring), multiplied by the Q12
 // reciprocal of the step ("quantize.level"), rounded, and dequantized by
 // the step multiply ("quantize.scale"). Output is pixel-scale.
-class QuantizeStage final : public PipelineKernel::Stage {
+class QuantizeStage final : public StageOf<QuantizeStage> {
  public:
   QuantizeStage(std::string name, std::size_t size, std::int64_t step)
-      : name_(std::move(name)),
-        size_(size),
+      : StageOf(std::move(name), {"level", "scale"}, size, size),
         step_(step),
-        recip_q12_(4096 / step),
-        vars_({"level", "scale"}) {}
+        recip_q12_(4096 / step) {}
 
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return size_; }
-  std::size_t OutputSize() const noexcept override { return size_; }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
+ private:
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
     const std::size_t vlv = base, vsc = base + 1;
-    for (std::size_t i = 0; i < size_; ++i) {
-      const std::int64_t yq = in[i] >> 14;  // Q14 -> pixel scale (wiring)
-      const std::int64_t p = ctx.Mul(yq, recip_q12_, {vlv});
-      const std::int64_t r = ctx.Add(p, std::int64_t{1} << 11, {vlv});
-      const std::int64_t q = r >> 12;  // rounded level (wiring)
-      out[i] = ctx.Mul(q, step_, {vsc});
-    }
-  }
-
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t vlv = base, vsc = base + 1;
-    const std::size_t lanes = ctx.NumLanes();
-    const Lanes recip = ctx.Broadcast(recip_q12_);
-    const Lanes half = ctx.Broadcast(std::int64_t{1} << 11);
-    const Lanes step = ctx.Broadcast(step_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      const Lanes yq =
-          Lanewise(lanes, in[i], [](std::int64_t v) { return v >> 14; });
-      const Lanes p = ctx.Mul(yq, recip, {vlv});
-      const Lanes r = ctx.Add(p, half, {vlv});
-      const Lanes q =
-          Lanewise(lanes, r, [](std::int64_t v) { return v >> 12; });
+    const auto recip = ctx.Broadcast(recip_q12_);
+    const auto half = ctx.Broadcast(std::int64_t{1} << 11);
+    const auto step = ctx.Broadcast(step_);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const auto p = ctx.Mul(ctx.Map(in[i], kShift14), recip, {vlv});
+      // Rounded level: the >>12 is wiring.
+      const auto q = ctx.Map(ctx.Add(p, half, {vlv}),
+                             [](std::int64_t v) { return v >> 12; });
       out[i] = ctx.Mul(q, step, {vsc});
     }
   }
 
- private:
-  std::string name_;
-  std::size_t size_;
   std::int64_t step_;
   std::int64_t recip_q12_;
-  std::vector<std::string> vars_;
 };
 
 // ---- sobel stage ----------------------------------------------------------
 //
-// The SobelKernel gradient math over the pipeline's shared image buffer:
-// Gx/Gy as differences of (1 2 1)-smoothed 3-MACs, |Gx|+|Gy| magnitude.
-class SobelStage final : public PipelineKernel::Stage {
+// The SobelKernel gradient math (detail::SobelMagnitude, one body for both)
+// over the pipeline's shared image buffer, with one "image" variable.
+class SobelStage final : public StageOf<SobelStage> {
  public:
   SobelStage(std::string name, std::size_t height, std::size_t width)
-      : name_(std::move(name)),
+      : StageOf(std::move(name), {"image", "kx", "ky", "acc"},
+                height * width, (height - 2) * (width - 2)),
         height_(height),
         width_(width),
-        smooth_({1, 2, 1}),
-        vars_({"image", "kx", "ky", "acc"}) {}
-
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return height_ * width_; }
-  std::size_t OutputSize() const noexcept override {
-    return (height_ - 2) * (width_ - 2);
-  }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
-    const std::size_t vim = base, vkx = base + 1, vky = base + 2,
-                      vac = base + 3;
-    const std::size_t out_rows = height_ - 2;
-    const std::size_t out_cols = width_ - 2;
-    for (std::size_t y = 0; y < out_rows; ++y) {
-      for (std::size_t x = 0; x < out_cols; ++x) {
-        const std::int64_t gx_pos =
-            ctx.DotAccumulate(0, &in[y * width_ + x + 2], width_,
-                              smooth_.data(), 1, 3, {vim, vkx}, {vac});
-        const std::int64_t gx_neg =
-            ctx.DotAccumulate(0, &in[y * width_ + x], width_, smooth_.data(),
-                              1, 3, {vim, vkx}, {vac});
-        const std::int64_t gx = ctx.Add(gx_pos, -gx_neg, {vac});
-        const std::int64_t gy_pos =
-            ctx.DotAccumulate(0, &in[(y + 2) * width_ + x], 1, smooth_.data(),
-                              1, 3, {vim, vky}, {vac});
-        const std::int64_t gy_neg =
-            ctx.DotAccumulate(0, &in[y * width_ + x], 1, smooth_.data(), 1, 3,
-                              {vim, vky}, {vac});
-        const std::int64_t gy = ctx.Add(gy_pos, -gy_neg, {vac});
-        out[y * out_cols + x] =
-            ctx.Add(gx < 0 ? -gx : gx, gy < 0 ? -gy : gy, {vac});
-      }
-    }
-  }
-
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t vim = base, vkx = base + 1, vky = base + 2,
-                      vac = base + 3;
-    const std::size_t lanes = ctx.NumLanes();
-    const std::size_t out_rows = height_ - 2;
-    const std::size_t out_cols = width_ - 2;
-    const auto neg = [](std::int64_t v) { return -v; };
-    const auto abs64 = [](std::int64_t v) { return v < 0 ? -v : v; };
-    Lanes col[3];
-    for (std::size_t y = 0; y < out_rows; ++y) {
-      for (std::size_t x = 0; x < out_cols; ++x) {
-        // Strided column reads gather into a contiguous scratch for the
-        // lane-operand dot (which is unit-stride by contract).
-        for (std::size_t k = 0; k < 3; ++k)
-          col[k] = in[(y + k) * width_ + x + 2];
-        const Lanes gx_pos = ctx.DotAccumulate(0, col, smooth_.data(), 1, 3,
-                                               {vim, vkx}, {vac});
-        for (std::size_t k = 0; k < 3; ++k) col[k] = in[(y + k) * width_ + x];
-        const Lanes gx_neg = ctx.DotAccumulate(0, col, smooth_.data(), 1, 3,
-                                               {vim, vkx}, {vac});
-        const Lanes gx = ctx.Add(gx_pos, Lanewise(lanes, gx_neg, neg), {vac});
-        const Lanes gy_pos =
-            ctx.DotAccumulate(0, &in[(y + 2) * width_ + x], smooth_.data(), 1,
-                              3, {vim, vky}, {vac});
-        const Lanes gy_neg = ctx.DotAccumulate(
-            0, &in[y * width_ + x], smooth_.data(), 1, 3, {vim, vky}, {vac});
-        const Lanes gy = ctx.Add(gy_pos, Lanewise(lanes, gy_neg, neg), {vac});
-        out[y * out_cols + x] = ctx.Add(Lanewise(lanes, gx, abs64),
-                                        Lanewise(lanes, gy, abs64), {vac});
-      }
-    }
-  }
+        smooth_({1, 2, 1}) {}
 
  private:
-  std::string name_;
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
+    detail::SobelMagnitude(
+        ctx, in.data(), height_, width_, smooth_.data(),
+        [base](std::size_t) { return base; }, base + 1, base + 2, base + 3,
+        [out](std::size_t i, const auto& mag) { out[i] = mag; });
+  }
+
   std::size_t height_;
   std::size_t width_;
   std::vector<std::int32_t> smooth_;
-  std::vector<std::string> vars_;
 };
 
 // ---- threshold stage ------------------------------------------------------
 //
 // Binarizes gradient magnitudes: the comparison is carried by a counted
 // signed add ("threshold.bias"), the sign test is wiring.
-class ThresholdStage final : public PipelineKernel::Stage {
+class ThresholdStage final : public StageOf<ThresholdStage> {
  public:
   ThresholdStage(std::string name, std::size_t size, std::int64_t threshold)
-      : name_(std::move(name)),
-        size_(size),
-        threshold_(threshold),
-        vars_({"bias"}) {}
-
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return size_; }
-  std::size_t OutputSize() const noexcept override { return size_; }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
-    for (std::size_t i = 0; i < size_; ++i) {
-      const std::int64_t d = ctx.Add(in[i], -threshold_, {base});
-      out[i] = d > 0 ? 255 : 0;
-    }
-  }
-
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t lanes = ctx.NumLanes();
-    const Lanes bias = ctx.Broadcast(-threshold_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      const Lanes d = ctx.Add(in[i], bias, {base});
-      out[i] = Lanewise(lanes, d,
-                        [](std::int64_t v) { return v > 0 ? 255 : 0; });
-    }
-  }
+      : StageOf(std::move(name), {"bias"}, size, size),
+        threshold_(threshold) {}
 
  private:
-  std::string name_;
-  std::size_t size_;
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
+    const auto bias = ctx.Broadcast(-threshold_);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      out[i] = ctx.Map(ctx.Add(in[i], bias, {base}), [](std::int64_t v) {
+        return std::int64_t{v > 0 ? 255 : 0};
+      });
+  }
+
   std::int64_t threshold_;
-  std::vector<std::string> vars_;
 };
 
 // ---- conv stage -----------------------------------------------------------
@@ -368,167 +241,93 @@ class ThresholdStage final : public PipelineKernel::Stage {
 // Multi-channel 3x3 convolution over the shared image: one seed-generated
 // stencil per output channel, each output the sum of three 3-MAC row dots
 // combined by counted adds. Output is channel-major.
-class ConvStage final : public PipelineKernel::Stage {
+class ConvStage final : public StageOf<ConvStage> {
  public:
   ConvStage(std::string name, std::size_t height, std::size_t width,
             std::vector<std::int32_t> stencils)
-      : name_(std::move(name)),
+      : StageOf(std::move(name), {"image", "stencil", "acc"}, height * width,
+                stencils.size() / 9 * (height - 2) * (width - 2)),
         height_(height),
         width_(width),
-        channels_(stencils.size() / 9),
-        stencils_(std::move(stencils)),
-        vars_({"image", "stencil", "acc"}) {}
+        stencils_(std::move(stencils)) {}
 
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return height_ * width_; }
-  std::size_t OutputSize() const noexcept override {
-    return channels_ * (height_ - 2) * (width_ - 2);
-  }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
+ private:
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
     const std::size_t vim = base, vst = base + 1, vac = base + 2;
     const std::size_t out_rows = height_ - 2;
     const std::size_t out_cols = width_ - 2;
     const std::size_t spatial = out_rows * out_cols;
-    for (std::size_t c = 0; c < channels_; ++c) {
+    for (std::size_t c = 0; c < stencils_.size() / 9; ++c) {
       const std::int32_t* st = &stencils_[c * 9];
       for (std::size_t y = 0; y < out_rows; ++y) {
         for (std::size_t x = 0; x < out_cols; ++x) {
-          std::int64_t rows[3];
+          typename Ctx::Value rows[3];
           for (std::size_t dy = 0; dy < 3; ++dy)
             rows[dy] =
                 ctx.DotAccumulate(0, &in[(y + dy) * width_ + x], 1,
                                   &st[dy * 3], 1, 3, {vim, vst}, {vac});
-          const std::int64_t s01 = ctx.Add(rows[0], rows[1], {vac});
+          const auto s01 = ctx.Add(rows[0], rows[1], {vac});
           out[c * spatial + y * out_cols + x] = ctx.Add(s01, rows[2], {vac});
         }
       }
     }
   }
 
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t vim = base, vst = base + 1, vac = base + 2;
-    const std::size_t out_rows = height_ - 2;
-    const std::size_t out_cols = width_ - 2;
-    const std::size_t spatial = out_rows * out_cols;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const std::int32_t* st = &stencils_[c * 9];
-      for (std::size_t y = 0; y < out_rows; ++y) {
-        for (std::size_t x = 0; x < out_cols; ++x) {
-          Lanes rows[3];
-          for (std::size_t dy = 0; dy < 3; ++dy)
-            rows[dy] =
-                ctx.DotAccumulate(0, &in[(y + dy) * width_ + x], &st[dy * 3],
-                                  1, 3, {vim, vst}, {vac});
-          const Lanes s01 = ctx.Add(rows[0], rows[1], {vac});
-          out[c * spatial + y * out_cols + x] = ctx.Add(s01, rows[2], {vac});
-        }
-      }
-    }
-  }
-
- private:
-  std::string name_;
   std::size_t height_;
   std::size_t width_;
-  std::size_t channels_;
   std::vector<std::int32_t> stencils_;
-  std::vector<std::string> vars_;
 };
 
 // ---- bias stage -----------------------------------------------------------
-class BiasStage final : public PipelineKernel::Stage {
+class BiasStage final : public StageOf<BiasStage> {
  public:
   BiasStage(std::string name, std::size_t spatial,
             std::vector<std::int64_t> biases)
-      : name_(std::move(name)),
+      : StageOf(std::move(name), {"add"}, biases.size() * spatial,
+                biases.size() * spatial),
         spatial_(spatial),
-        biases_(std::move(biases)),
-        vars_({"add"}) {}
+        biases_(std::move(biases)) {}
 
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override {
-    return biases_.size() * spatial_;
-  }
-  std::size_t OutputSize() const noexcept override { return InputSize(); }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
-    for (std::size_t c = 0; c < biases_.size(); ++c)
-      for (std::size_t s = 0; s < spatial_; ++s)
-        out[c * spatial_ + s] =
-            ctx.Add(in[c * spatial_ + s], biases_[c], {base});
-  }
-
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
+ private:
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
     for (std::size_t c = 0; c < biases_.size(); ++c) {
-      const Lanes bias = ctx.Broadcast(biases_[c]);
+      const auto bias = ctx.Broadcast(biases_[c]);
       for (std::size_t s = 0; s < spatial_; ++s)
         out[c * spatial_ + s] = ctx.Add(in[c * spatial_ + s], bias, {base});
     }
   }
 
- private:
-  std::string name_;
   std::size_t spatial_;
   std::vector<std::int64_t> biases_;
-  std::vector<std::string> vars_;
 };
 
 // ---- relu stage -----------------------------------------------------------
 //
 // max(x, 0) computed as (x + |x|) >> 1 so the gate is a counted add
 // ("relu.gate"); |x| and the halving shift are wiring.
-class ReluStage final : public PipelineKernel::Stage {
+class ReluStage final : public StageOf<ReluStage> {
  public:
   ReluStage(std::string name, std::size_t size)
-      : name_(std::move(name)), size_(size), vars_({"gate"}) {}
-
-  const std::string& StageName() const noexcept override { return name_; }
-  const std::vector<std::string>& LocalVariables() const noexcept override {
-    return vars_;
-  }
-  std::size_t InputSize() const noexcept override { return size_; }
-  std::size_t OutputSize() const noexcept override { return size_; }
-
-  void Run(ApproxContext& ctx, std::size_t base,
-           std::span<const std::int64_t> in,
-           std::span<std::int64_t> out) const override {
-    for (std::size_t i = 0; i < size_; ++i) {
-      const std::int64_t x = in[i];
-      const std::int64_t s = ctx.Add(x, x < 0 ? -x : x, {base});
-      out[i] = s >> 1;
-    }
-  }
-
-  void RunLanes(MultiApproxContext& ctx, std::size_t base,
-                std::span<const Lanes> in,
-                std::span<Lanes> out) const override {
-    const std::size_t lanes = ctx.NumLanes();
-    const auto abs64 = [](std::int64_t v) { return v < 0 ? -v : v; };
-    for (std::size_t i = 0; i < size_; ++i) {
-      const Lanes s = ctx.Add(in[i], Lanewise(lanes, in[i], abs64), {base});
-      out[i] = Lanewise(lanes, s, [](std::int64_t v) { return v >> 1; });
-    }
-  }
+      : StageOf(std::move(name), {"gate"}, size, size) {}
 
  private:
-  std::string name_;
-  std::size_t size_;
-  std::vector<std::string> vars_;
+  friend StageOf;
+  template <class Ctx>
+  void Body(Ctx& ctx, std::size_t base,
+            std::span<const typename Ctx::Value> in,
+            std::span<typename Ctx::Value> out) const {
+    for (std::size_t i = 0; i < in.size(); ++i)
+      out[i] = ctx.Map(ctx.Add(in[i], ctx.Map(in[i], kAbs), {base}),
+                       [](std::int64_t v) { return v >> 1; });
+  }
 };
 
 std::vector<std::int64_t> RandomPixels(std::size_t n, util::Rng& rng) {
@@ -576,33 +375,32 @@ PipelineKernel::PipelineKernel(std::string name, axc::OperatorSet operators,
   }
 }
 
-std::vector<double> PipelineKernel::Run(instrument::ApproxContext& ctx) const {
-  std::vector<std::int64_t> cur = source_;
+template <class Ctx>
+std::vector<double> PipelineKernel::Body(Ctx& ctx) const {
+  std::vector<typename Ctx::Value> cur(source_.size());
+  for (std::size_t i = 0; i < source_.size(); ++i)
+    cur[i] = ctx.Broadcast(source_[i]);
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    std::vector<std::int64_t> next(stages_[i]->OutputSize());
-    stages_[i]->Run(ctx, var_bases_[i], cur, next);
+    std::vector<typename Ctx::Value> next(stages_[i]->OutputSize());
+    if constexpr (std::is_same_v<Ctx, instrument::ApproxContext>)
+      stages_[i]->Run(ctx, var_bases_[i], cur, next);
+    else
+      stages_[i]->RunLanes(ctx, var_bases_[i], cur, next);
     cur = std::move(next);
   }
-  return std::vector<double>(cur.begin(), cur.end());
+  std::vector<double> out(ctx.NumLanes() * cur.size());
+  for (std::size_t i = 0; i < cur.size(); ++i)
+    ctx.StoreOutput(out, cur.size(), i, cur[i]);
+  return out;
+}
+
+std::vector<double> PipelineKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
 }
 
 std::vector<double> PipelineKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  using Lanes = instrument::MultiApproxContext::Lanes;
-  const std::size_t lanes = ctx.NumLanes();
-  std::vector<Lanes> cur(source_.size());
-  for (std::size_t i = 0; i < source_.size(); ++i)
-    cur[i] = ctx.Broadcast(source_[i]);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    std::vector<Lanes> next(stages_[i]->OutputSize());
-    stages_[i]->RunLanes(ctx, var_bases_[i], cur, next);
-    cur = std::move(next);
-  }
-  std::vector<double> out(lanes * cur.size());
-  for (std::size_t l = 0; l < lanes; ++l)
-    for (std::size_t i = 0; i < cur.size(); ++i)
-      out[l * cur.size() + i] = static_cast<double>(cur[i].v[l]);
-  return out;
+  return Body(ctx);
 }
 
 double PipelineKernel::AccuracyError(std::span<const double> precise,

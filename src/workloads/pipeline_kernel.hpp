@@ -92,6 +92,11 @@ class PipelineKernel final : public Kernel {
   }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::string name_;
   axc::OperatorSet operators_;
   std::vector<std::int64_t> source_;

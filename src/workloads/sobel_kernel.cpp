@@ -40,86 +40,27 @@ std::size_t SobelKernel::VarOfRow(std::size_t y) const noexcept {
   return band >= row_bands_ ? row_bands_ - 1 : band;
 }
 
-std::vector<double> SobelKernel::Run(instrument::ApproxContext& ctx) const {
-  const std::size_t out_rows = height_ - 2;
-  const std::size_t out_cols = width_ - 2;
-  std::vector<double> out(out_rows * out_cols);
-  const std::size_t kx_var = VarOfKx();
-  const std::size_t ky_var = VarOfKy();
-  const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t y = 0; y < out_rows; ++y) {
-    const std::size_t row_var = VarOfRow(y);
-    for (std::size_t x = 0; x < out_cols; ++x) {
-      // Gx: smoothed right column minus smoothed left column (stride =
-      // image width — the strided u8 MAC path).
-      const std::int64_t gx_pos =
-          ctx.DotAccumulate(0, &image_[y * width_ + x + 2], width_,
-                            smooth_.data(), 1, 3, {row_var, kx_var}, {acc_var});
-      const std::int64_t gx_neg =
-          ctx.DotAccumulate(0, &image_[y * width_ + x], width_, smooth_.data(),
-                            1, 3, {row_var, kx_var}, {acc_var});
-      const std::int64_t gx = ctx.Add(gx_pos, -gx_neg, {acc_var});
-      // Gy: smoothed bottom row minus smoothed top row (contiguous u8 MACs).
-      const std::int64_t gy_pos =
-          ctx.DotAccumulate(0, &image_[(y + 2) * width_ + x], 1,
-                            smooth_.data(), 1, 3, {row_var, ky_var}, {acc_var});
-      const std::int64_t gy_neg =
-          ctx.DotAccumulate(0, &image_[y * width_ + x], 1, smooth_.data(), 1,
-                            3, {row_var, ky_var}, {acc_var});
-      const std::int64_t gy = ctx.Add(gy_pos, -gy_neg, {acc_var});
-      // |Gx| + |Gy| magnitude; the absolute values are comparisons, not
-      // counted arithmetic.
-      const std::int64_t mag =
-          ctx.Add(gx < 0 ? -gx : gx, gy < 0 ? -gy : gy, {acc_var});
-      out[y * out_cols + x] = static_cast<double>(mag);
-    }
-  }
+template <class Ctx>
+std::vector<double> SobelKernel::Body(Ctx& ctx) const {
+  const std::size_t out_size = (height_ - 2) * (width_ - 2);
+  std::vector<double> out(ctx.NumLanes() * out_size);
+  // 8-bit pixels and weights: the batched u8 MAC path.
+  detail::SobelMagnitude(
+      ctx, image_.data(), height_, width_, smooth_.data(),
+      [this](std::size_t y) { return VarOfRow(y); }, VarOfKx(), VarOfKy(),
+      VarOfAccumulator(), [&](std::size_t i, const auto& mag) {
+        ctx.StoreOutput(out, out_size, i, mag);
+      });
   return out;
+}
+
+std::vector<double> SobelKernel::Run(instrument::ApproxContext& ctx) const {
+  return Body(ctx);
 }
 
 std::vector<double> SobelKernel::RunLanes(
     instrument::MultiApproxContext& ctx) const {
-  using Lanes = instrument::MultiApproxContext::Lanes;
-  const std::size_t lanes = ctx.NumLanes();
-  const std::size_t out_rows = height_ - 2;
-  const std::size_t out_cols = width_ - 2;
-  const std::size_t out_size = out_rows * out_cols;
-  std::vector<double> out(lanes * out_size);
-  const std::size_t kx_var = VarOfKx();
-  const std::size_t ky_var = VarOfKy();
-  const std::size_t acc_var = VarOfAccumulator();
-  // Negation and absolute value are wiring (comparisons/sign flips, not
-  // counted arithmetic): lane-wise they preserve the dedup partition.
-  const auto lanewise = [&lanes](Lanes x, auto fn) {
-    for (std::size_t l = 0; l < lanes; ++l) x.v[l] = fn(x.v[l]);
-    return x;
-  };
-  const auto neg = [](std::int64_t v) { return -v; };
-  const auto abs64 = [](std::int64_t v) { return v < 0 ? -v : v; };
-  for (std::size_t y = 0; y < out_rows; ++y) {
-    const std::size_t row_var = VarOfRow(y);
-    for (std::size_t x = 0; x < out_cols; ++x) {
-      const Lanes gx_pos =
-          ctx.DotAccumulate(0, &image_[y * width_ + x + 2], width_,
-                            smooth_.data(), 1, 3, {row_var, kx_var}, {acc_var});
-      const Lanes gx_neg =
-          ctx.DotAccumulate(0, &image_[y * width_ + x], width_, smooth_.data(),
-                            1, 3, {row_var, kx_var}, {acc_var});
-      const Lanes gx = ctx.Add(gx_pos, lanewise(gx_neg, neg), {acc_var});
-      const Lanes gy_pos =
-          ctx.DotAccumulate(0, &image_[(y + 2) * width_ + x], 1,
-                            smooth_.data(), 1, 3, {row_var, ky_var}, {acc_var});
-      const Lanes gy_neg =
-          ctx.DotAccumulate(0, &image_[y * width_ + x], 1, smooth_.data(), 1,
-                            3, {row_var, ky_var}, {acc_var});
-      const Lanes gy = ctx.Add(gy_pos, lanewise(gy_neg, neg), {acc_var});
-      const Lanes mag =
-          ctx.Add(lanewise(gx, abs64), lanewise(gy, abs64), {acc_var});
-      for (std::size_t l = 0; l < lanes; ++l)
-        out[l * out_size + y * out_cols + x] = static_cast<double>(mag.v[l]);
-    }
-  }
-  return out;
+  return Body(ctx);
 }
 
 }  // namespace axdse::workloads

@@ -57,6 +57,11 @@ class SobelKernel final : public Kernel {
   std::uint8_t SmoothWeight(std::size_t i) const { return smooth_[i]; }
 
  private:
+  /// The one kernel body behind Run and RunLanes, instantiated for both
+  /// contexts.
+  template <class Ctx>
+  std::vector<double> Body(Ctx& ctx) const;
+
   std::size_t height_;
   std::size_t width_;
   std::size_t row_bands_;
@@ -68,5 +73,52 @@ class SobelKernel final : public Kernel {
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
 };
+
+namespace detail {
+
+/// The Sobel arithmetic shared by SobelKernel and the edge-path pipeline's
+/// sobel stage, for either context. For every interior pixel of a
+/// `height` x `width` image: Gx and Gy as differences of two (1 2 1)-smoothed
+/// 3-MACs (pixel first operand, weight second; strided columns for Gx,
+/// contiguous rows for Gy), then |Gx| + |Gy|. The differences and the
+/// magnitude are counted adds on `acc_var`; negation and absolute value are
+/// wiring. `row_var(y)` names the image variable of output row y, and
+/// `emit(i, value)` receives output i in row-major order.
+template <class Ctx, class Pixel, class Weight, class RowVar, class Emit>
+void SobelMagnitude(Ctx& ctx, const Pixel* image, std::size_t height,
+                    std::size_t width, const Weight* smooth, RowVar row_var,
+                    std::size_t kx_var, std::size_t ky_var,
+                    std::size_t acc_var, Emit emit) {
+  const auto neg = [](std::int64_t v) { return -v; };
+  const auto abs = [](std::int64_t v) { return v < 0 ? -v : v; };
+  const std::size_t out_rows = height - 2;
+  const std::size_t out_cols = width - 2;
+  for (std::size_t y = 0; y < out_rows; ++y) {
+    const std::size_t rv = row_var(y);
+    for (std::size_t x = 0; x < out_cols; ++x) {
+      // Gx: smoothed right column minus smoothed left column (stride =
+      // image width).
+      const auto gx_pos = ctx.DotAccumulate(0, &image[y * width + x + 2],
+                                            width, smooth, 1, 3,
+                                            {rv, kx_var}, {acc_var});
+      const auto gx_neg = ctx.DotAccumulate(0, &image[y * width + x], width,
+                                            smooth, 1, 3, {rv, kx_var},
+                                            {acc_var});
+      const auto gx = ctx.Add(gx_pos, ctx.Map(gx_neg, neg), {acc_var});
+      // Gy: smoothed bottom row minus smoothed top row (contiguous).
+      const auto gy_pos = ctx.DotAccumulate(0, &image[(y + 2) * width + x], 1,
+                                            smooth, 1, 3, {rv, ky_var},
+                                            {acc_var});
+      const auto gy_neg = ctx.DotAccumulate(0, &image[y * width + x], 1,
+                                            smooth, 1, 3, {rv, ky_var},
+                                            {acc_var});
+      const auto gy = ctx.Add(gy_pos, ctx.Map(gy_neg, neg), {acc_var});
+      emit(y * out_cols + x,
+           ctx.Add(ctx.Map(gx, abs), ctx.Map(gy, abs), {acc_var}));
+    }
+  }
+}
+
+}  // namespace detail
 
 }  // namespace axdse::workloads
