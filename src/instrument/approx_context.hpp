@@ -39,13 +39,11 @@ using VarList = std::initializer_list<std::size_t>;
 /// Per-run instrumentation context. Not thread-safe (one context per running
 /// evaluation); cheap to reset between runs.
 ///
-/// Built-in kernels are written once, as templates over the context type,
-/// and instantiated for this context and for MultiApproxContext. Both
-/// expose the same primitive set: a `Value` type, ApproxLaneMask,
-/// Broadcast, Add/Mul, AddResolved/MulResolved, DotAccumulate,
-/// AxpyAccumulate, Map (uncounted wiring) and StoreOutput. Here a Value is
-/// one int64 and every shared primitive folds to the plain scalar operation
-/// at compile time.
+/// Built-in kernels are templates over the context type, instantiated for
+/// this context and MultiApproxContext, which share one primitive set
+/// (Value, ApproxLaneMask, Broadcast, Add/Mul, *Resolved, DotAccumulate,
+/// AxpyAccumulate, Map, StoreOutput). Here a Value is one int64 and each
+/// shared primitive folds to the plain scalar operation.
 ///
 /// Variable ids in VarList arguments must be < NumVariables(): the bound is
 /// validated once per configuration in Configure() (and asserted in debug
@@ -96,15 +94,13 @@ class ApproxContext {
     return false;
   }
 
-  /// The shared lane-mask query: for this one-lane context, the group's
-  /// approximation decision.
+  /// The shared lane-mask query: here, the group's one decision.
   bool ApproxLaneMask(VarList vars) const noexcept {
     return AnyApproximated(vars);
   }
 
-  /// Shared-primitive identities (see the class comment): one lane, so a
-  /// broadcast value, a lane read and a partition are trivial, and Map
-  /// applies the wiring transform once.
+  /// One lane: broadcast, lane reads and partitions are trivial, and Map
+  /// applies the uncounted wiring transform once.
   static constexpr std::size_t NumLanes() noexcept { return 1; }
   static std::int64_t Broadcast(std::int64_t value) noexcept { return value; }
   static std::int64_t Lane(std::int64_t x, std::size_t) noexcept { return x; }
@@ -114,10 +110,9 @@ class ApproxContext {
     return fn(x);
   }
 
-  /// Writes `x` as output `i` of a run producing `size` outputs.
-  static void StoreOutput(std::vector<double>& out, std::size_t size,
+  /// Writes `x` as output `i` (of `size` outputs per lane).
+  static void StoreOutput(std::vector<double>& out, std::size_t /*size*/,
                           std::size_t i, std::int64_t x) noexcept {
-    (void)size;
     out[i] = static_cast<double>(x);
   }
 
@@ -181,9 +176,8 @@ class ApproxContext {
                              const std::array<const std::int64_t*, 1>& a,
                              const std::array<const std::int64_t*, 1>& b,
                              const std::array<std::size_t, 1>& n,
-                             const Partition& operand_rep, VarList mul_vars,
-                             VarList add_vars) noexcept {
-    (void)operand_rep;
+                             const Partition& /*operand_rep*/,
+                             VarList mul_vars, VarList add_vars) noexcept {
     return DotAccumulate(acc, a[0], 1, b[0], 1, n[0], mul_vars, add_vars);
   }
 

@@ -54,8 +54,7 @@ class Conv2DKernel final : public Kernel {
   }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

@@ -9,29 +9,30 @@
 
 namespace axdse::workloads {
 
-DctKernel::DctKernel(std::size_t blocks, std::uint64_t seed)
-    : blocks_(blocks),
-      name_("dct8x8-" + std::to_string(blocks)),
-      variables_({{"pixels"}, {"coeffs"}, {"acc"}}),
-      operators_(axc::EvoApproxCatalog::Instance().FirSet()) {
-  if (blocks == 0) throw std::invalid_argument("DctKernel: blocks == 0");
-  util::Rng rng(seed);
-  pixels_.resize(blocks * 64);
-  for (auto& p : pixels_) p = static_cast<std::uint8_t>(rng.UniformBelow(256));
-
-  // Orthonormal DCT-II matrix: C[u][k] = s(u) * cos((2k+1) u pi / 16),
-  // s(0) = sqrt(1/8), s(u>0) = sqrt(2/8); quantized to Q14.
-  dct_q14_.resize(64);
+std::vector<std::int32_t> DctMatrixQ14() {
+  std::vector<std::int32_t> c(64);
   for (std::size_t u = 0; u < 8; ++u) {
     const double scale = u == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
     for (std::size_t k = 0; k < 8; ++k) {
       const double value =
           scale * std::cos((2.0 * static_cast<double>(k) + 1.0) *
                            static_cast<double>(u) * std::numbers::pi / 16.0);
-      dct_q14_[u * 8 + k] =
-          static_cast<std::int32_t>(std::lround(value * 16384.0));
+      c[u * 8 + k] = static_cast<std::int32_t>(std::lround(value * 16384.0));
     }
   }
+  return c;
+}
+
+DctKernel::DctKernel(std::size_t blocks, std::uint64_t seed)
+    : blocks_(blocks),
+      name_("dct8x8-" + std::to_string(blocks)),
+      dct_q14_(DctMatrixQ14()),
+      variables_({{"pixels"}, {"coeffs"}, {"acc"}}),
+      operators_(axc::EvoApproxCatalog::Instance().FirSet()) {
+  if (blocks == 0) throw std::invalid_argument("DctKernel: blocks == 0");
+  util::Rng rng(seed);
+  pixels_.resize(blocks * 64);
+  for (auto& p : pixels_) p = static_cast<std::uint8_t>(rng.UniformBelow(256));
 }
 
 const std::string& DctKernel::Name() const noexcept { return name_; }

@@ -13,6 +13,11 @@
 
 namespace axdse::workloads {
 
+/// The orthonormal order-8 DCT-II matrix in Q14, row-major:
+/// C[u][k] = s(u) * cos((2k+1) u pi / 16), s(0) = sqrt(1/8),
+/// s(u>0) = sqrt(2/8). Shared by DctKernel and the jpeg-path dct stages.
+std::vector<std::int32_t> DctMatrixQ14();
+
 /// Computes Y = C * X * C^T for `blocks` random 8x8 uint8 blocks, where C is
 /// the order-8 DCT-II matrix in Q14. Uses the 16-bit adder / 32-bit
 /// multiplier operator set (products are up to ~22 bits). Outputs all 64
@@ -51,8 +56,7 @@ class DctKernel final : public Kernel {
   }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

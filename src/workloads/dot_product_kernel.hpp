@@ -41,8 +41,7 @@ class DotProductKernel final : public Kernel {
   std::size_t Blocks() const noexcept { return blocks_; }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

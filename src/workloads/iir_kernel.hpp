@@ -53,8 +53,7 @@ class IirKernel final : public Kernel {
   const std::int32_t* FeedbackQ15() const noexcept { return a_q15_; }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

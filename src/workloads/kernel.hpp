@@ -72,8 +72,10 @@ class Kernel {
   /// returns the outputs lane-major: lane l's Run()-equivalent output
   /// occupies [l * out_size, (l + 1) * out_size). Implementations must
   /// produce, per lane, bit-identical values and op counts to Run() under
-  /// the same selection. Default throws std::logic_error (guard with
-  /// SupportsLanes()).
+  /// the same selection. Built-in kernels get this by construction: Run and
+  /// RunLanes forward to one template body instantiated for both contexts
+  /// (the equivalence suites still check it). Default throws
+  /// std::logic_error (guard with SupportsLanes()).
   virtual std::vector<double> RunLanes(
       instrument::MultiApproxContext& ctx) const;
 

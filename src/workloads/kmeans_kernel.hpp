@@ -51,8 +51,7 @@ class KMeans1DKernel final : public Kernel {
   std::size_t Clusters() const noexcept { return centroids_.size(); }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

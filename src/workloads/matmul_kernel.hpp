@@ -62,8 +62,7 @@ class MatMulKernel final : public Kernel {
   }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

@@ -1,7 +1,5 @@
 #include "workloads/pipeline_kernel.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <set>
 #include <stdexcept>
 #include <type_traits>
@@ -9,6 +7,7 @@
 
 #include "metrics/error_metrics.hpp"
 #include "util/rng.hpp"
+#include "workloads/dct_kernel.hpp"
 #include "workloads/sobel_kernel.hpp"
 
 namespace axdse::workloads {
@@ -61,22 +60,6 @@ class StageOf : public PipelineKernel::Stage {
 constexpr auto kShift14 = [](std::int64_t v) { return v >> 14; };
 constexpr auto kAbs = [](std::int64_t v) { return v < 0 ? -v : v; };
 
-/// Orthonormal order-8 DCT-II matrix in Q14 (same construction as
-/// DctKernel): C[u][k] = s(u) * cos((2k+1) u pi / 16).
-std::vector<std::int32_t> BuildDctMatrixQ14() {
-  std::vector<std::int32_t> c(64);
-  for (std::size_t u = 0; u < 8; ++u) {
-    const double scale = u == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-    for (std::size_t k = 0; k < 8; ++k) {
-      const double value =
-          scale * std::cos((2.0 * static_cast<double>(k) + 1.0) *
-                           static_cast<double>(u) * std::numbers::pi / 16.0);
-      c[u * 8 + k] = static_cast<std::int32_t>(std::lround(value * 16384.0));
-    }
-  }
-  return c;
-}
-
 // ---- DCT / inverse-DCT stage ----------------------------------------------
 //
 // Forward: Y = (C * X * C^T), pass 1 rescaled by >>14 so pass-1 products
@@ -93,7 +76,7 @@ class DctStage final : public StageOf<DctStage> {
                 blocks * 64),
         blocks_(blocks),
         inverse_(inverse),
-        c_q14_(BuildDctMatrixQ14()) {}
+        c_q14_(DctMatrixQ14()) {}
 
  private:
   friend StageOf;

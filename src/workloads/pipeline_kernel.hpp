@@ -38,7 +38,9 @@ class PipelineKernel final : public Kernel {
   /// const-thread-safe, and route all counted arithmetic through the
   /// context using variable indices offset by `var_base` (the index of this
   /// stage's first variable in the pipeline's variable list). RunLanes must
-  /// be per-lane bit-identical to Run in both values and op counts.
+  /// be per-lane bit-identical to Run in both values and op counts; the
+  /// built-in stages hold this by construction, forwarding both to one
+  /// template body over the context type (checked by the pipeline tests).
   class Stage {
    public:
     virtual ~Stage() = default;
@@ -92,8 +94,7 @@ class PipelineKernel final : public Kernel {
   }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 

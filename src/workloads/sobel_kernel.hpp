@@ -57,8 +57,7 @@ class SobelKernel final : public Kernel {
   std::uint8_t SmoothWeight(std::size_t i) const { return smooth_[i]; }
 
  private:
-  /// The one kernel body behind Run and RunLanes, instantiated for both
-  /// contexts.
+  /// The one body behind Run and RunLanes, for either context.
   template <class Ctx>
   std::vector<double> Body(Ctx& ctx) const;
 
@@ -76,14 +75,11 @@ class SobelKernel final : public Kernel {
 
 namespace detail {
 
-/// The Sobel arithmetic shared by SobelKernel and the edge-path pipeline's
-/// sobel stage, for either context. For every interior pixel of a
-/// `height` x `width` image: Gx and Gy as differences of two (1 2 1)-smoothed
-/// 3-MACs (pixel first operand, weight second; strided columns for Gx,
-/// contiguous rows for Gy), then |Gx| + |Gy|. The differences and the
-/// magnitude are counted adds on `acc_var`; negation and absolute value are
-/// wiring. `row_var(y)` names the image variable of output row y, and
-/// `emit(i, value)` receives output i in row-major order.
+/// The Sobel arithmetic of SobelKernel and the edge-path sobel stage, for
+/// either context: per interior pixel, Gx and Gy as differences of two
+/// (1 2 1)-smoothed 3-MACs (pixel first operand), then |Gx| + |Gy|, with
+/// negation and abs as wiring. `row_var(y)` names output row y's image
+/// variable; `emit(i, value)` receives output i in row-major order.
 template <class Ctx, class Pixel, class Weight, class RowVar, class Emit>
 void SobelMagnitude(Ctx& ctx, const Pixel* image, std::size_t height,
                     std::size_t width, const Weight* smooth, RowVar row_var,

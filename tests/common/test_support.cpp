@@ -1,7 +1,11 @@
 #include "common/test_support.hpp"
 
+#include <gtest/gtest.h>
+
 #include <filesystem>
 
+#include "instrument/approx_context.hpp"
+#include "instrument/multi_approx_context.hpp"
 #include "util/number_format.hpp"
 #include "workloads/registry.hpp"
 
@@ -85,6 +89,75 @@ std::string PayloadField(const std::string& payload, const std::string& key) {
   const std::size_t end = payload.find(' ', pos);
   return payload.substr(pos, end == std::string::npos ? std::string::npos
                                                       : end - pos);
+}
+
+instrument::ApproxSelection RandomSelection(const axc::OperatorSet& set,
+                                            std::size_t num_vars,
+                                            util::Rng& rng) {
+  instrument::ApproxSelection sel(num_vars);
+  sel.SetAdderIndex(
+      static_cast<std::uint32_t>(rng.UniformBelow(set.adders.size())));
+  sel.SetMultiplierIndex(
+      static_cast<std::uint32_t>(rng.UniformBelow(set.multipliers.size())));
+  for (std::size_t v = 0; v < num_vars; ++v)
+    if (rng.UniformBelow(2) == 1) sel.SetVariable(v, true);
+  return sel;
+}
+
+std::vector<instrument::ApproxSelection> RandomLaneBatch(
+    const axc::OperatorSet& set, std::size_t num_vars, std::size_t lanes,
+    util::Rng& rng) {
+  std::vector<instrument::ApproxSelection> selections;
+  selections.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (l > 0 && rng.UniformBelow(4) == 0)
+      selections.push_back(selections[rng.UniformBelow(l)]);
+    else
+      selections.push_back(RandomSelection(set, num_vars, rng));
+  }
+  return selections;
+}
+
+void ExpectSameCounts(const energy::OpCounts& got,
+                      const energy::OpCounts& want, const std::string& what) {
+  EXPECT_EQ(got.precise_adds, want.precise_adds) << what;
+  EXPECT_EQ(got.approx_adds, want.approx_adds) << what;
+  EXPECT_EQ(got.precise_muls, want.precise_muls) << what;
+  EXPECT_EQ(got.approx_muls, want.approx_muls) << what;
+}
+
+void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
+                             std::uint64_t seed) {
+  using instrument::MultiApproxContext;
+  util::Rng rng(seed);
+  MultiApproxContext multi(kernel.Operators(), kernel.NumVariables());
+  instrument::ApproxContext scalar = kernel.MakeContext();
+  for (int c = 0; c < cases; ++c) {
+    for (const std::size_t lanes :
+         {std::size_t{1}, std::size_t{2}, std::size_t{5},
+          MultiApproxContext::kMaxLanes}) {
+      const std::vector<instrument::ApproxSelection> selections =
+          RandomLaneBatch(kernel.Operators(), kernel.NumVariables(), lanes,
+                          rng);
+      multi.Configure(selections);
+      const std::vector<double> got = kernel.RunLanes(multi);
+      ASSERT_EQ(got.size() % lanes, 0u) << kernel.Name();
+      const std::size_t out_size = got.size() / lanes;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        scalar.Configure(selections[l]);
+        const std::vector<double> want = kernel.Run(scalar);
+        ASSERT_EQ(want.size(), out_size) << kernel.Name();
+        for (std::size_t i = 0; i < out_size; ++i)
+          ASSERT_EQ(got[l * out_size + i], want[i])
+              << kernel.Name() << " lane=" << l << "/" << lanes
+              << " out=" << i << " " << selections[l].ToString();
+        ExpectSameCounts(multi.Counts(l), scalar.Counts(),
+                         kernel.Name() + " lane " + std::to_string(l) + "/" +
+                             std::to_string(lanes) + " " +
+                             selections[l].ToString());
+      }
+    }
+  }
 }
 
 }  // namespace axdse::testsupport

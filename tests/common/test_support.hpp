@@ -9,20 +9,27 @@
 //   * canonical Measurement serialization for byte-identity payloads
 //   * request builders for quick daemon/engine jobs
 //   * "key=value" field extraction for serve protocol payloads
+//   * random selections/lane batches, OpCounts comparison, and the
+//     RunLanes-vs-Run per-lane check the equivalence suites share
 //
 // Everything here is test-only: the library links gtest and must never be
 // referenced from src/.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "axc/catalog.hpp"
 #include "dse/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "dse/request.hpp"
 #include "dse/reward.hpp"
+#include "instrument/approx_selection.hpp"
 #include "instrument/measurement.hpp"
+#include "util/rng.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::testsupport {
@@ -81,5 +88,28 @@ dse::ExplorationRequest QuickMatmulRequest(std::size_t steps = 200,
 
 /// The "key=value" field of a STATUS/STATS-style payload, or "" when absent.
 std::string PayloadField(const std::string& payload, const std::string& key);
+
+/// Random selection over `num_vars` variables: uniform adder and multiplier
+/// indices of `set`, each variable selected with probability 1/2.
+instrument::ApproxSelection RandomSelection(const axc::OperatorSet& set,
+                                            std::size_t num_vars,
+                                            util::Rng& rng);
+
+/// `lanes` selections mixing fresh RandomSelections with repeats of earlier
+/// lanes, so lane runs see both fully split and partly collapsed dedup
+/// partitions.
+std::vector<instrument::ApproxSelection> RandomLaneBatch(
+    const axc::OperatorSet& set, std::size_t num_vars, std::size_t lanes,
+    util::Rng& rng);
+
+/// EXPECTs the four OpCounts fields equal; `what` labels failures.
+void ExpectSameCounts(const energy::OpCounts& got,
+                      const energy::OpCounts& want, const std::string& what);
+
+/// `cases` rounds of RandomLaneBatch at widths 1, 2, 5 and kMaxLanes: each
+/// lane of kernel.RunLanes must equal kernel.Run under that lane's
+/// selection, in outputs and in OpCounts.
+void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
+                             std::uint64_t seed);
 
 }  // namespace axdse::testsupport

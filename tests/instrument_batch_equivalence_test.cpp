@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "axc/catalog.hpp"
+#include "common/test_support.hpp"
 #include "instrument/approx_context.hpp"
+#include "instrument/multi_approx_context.hpp"
 #include "util/rng.hpp"
 #include "workloads/conv2d_kernel.hpp"
 #include "workloads/dct_kernel.hpp"
@@ -32,27 +34,8 @@ namespace {
 
 using workloads::Kernel;
 
-/// Random selection over `num_vars` variables and the given operator set.
-ApproxSelection RandomSelection(const axc::OperatorSet& set,
-                                std::size_t num_vars, util::Rng& rng) {
-  ApproxSelection sel(num_vars);
-  sel.SetAdderIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.adders.size())));
-  sel.SetMultiplierIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.multipliers.size())));
-  for (std::size_t v = 0; v < num_vars; ++v)
-    if (rng.UniformBelow(2) == 1) sel.SetVariable(v, true);
-  return sel;
-}
-
-void ExpectSameCounts(const energy::OpCounts& batched,
-                      const energy::OpCounts& scalar,
-                      const std::string& what) {
-  EXPECT_EQ(batched.precise_adds, scalar.precise_adds) << what;
-  EXPECT_EQ(batched.approx_adds, scalar.approx_adds) << what;
-  EXPECT_EQ(batched.precise_muls, scalar.precise_muls) << what;
-  EXPECT_EQ(batched.approx_muls, scalar.approx_muls) << what;
-}
+using testsupport::ExpectSameCounts;
+using testsupport::RandomSelection;
 
 // ---------------------------------------------------------------------------
 // Primitive level: batched vs scalar loops over random data and selections.
@@ -224,6 +207,66 @@ TEST(BatchEquivalence, DotAccumulateLaneHostileLengthsAndStrides) {
       }
       ExpectSameCounts(batched.Counts(), scalar.Counts(),
                        set.name + " hostile-shape counts " + sel.ToString());
+    }
+    // Lane-operand dot (a pipeline stage reading the previous stage's
+    // lane-parallel outputs) at unit stride and at the 8x8-block column
+    // stride: element partitions differ along the operand, every lane must
+    // equal a per-op loop over its own payloads, and duplicate lanes must
+    // share one dedup group.
+    using Lanes = MultiApproxContext::Lanes;
+    constexpr std::size_t kLanes = MultiApproxContext::kMaxLanes;
+    for (int c = 0; c < 4; ++c) {
+      std::vector<ApproxSelection> selections =
+          testsupport::RandomLaneBatch(set, 4, kLanes, rng);
+      selections.back() = selections.front();
+      MultiApproxContext builder(set, 4);
+      MultiApproxContext multi(set, 4);
+      builder.Configure(selections);
+      multi.Configure(selections);
+      std::vector<ApproxContext> scalars;
+      for (const ApproxSelection& sel : selections) {
+        scalars.emplace_back(set, 4);
+        scalars.back().Configure(sel);
+      }
+      // Broadcasts (one group) mixed with per-lane sums (split by operator).
+      std::vector<Lanes> a(17 * 8);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const Lanes x = builder.Broadcast(
+            static_cast<std::int64_t>(rng.UniformBelow(65536)) - 32768);
+        a[i] = i % 3 == 0
+                   ? x
+                   : builder.Add(x,
+                                 builder.Broadcast(static_cast<std::int64_t>(
+                                     rng.UniformBelow(1u << 12))),
+                                 {i % 4});
+      }
+      const std::int64_t init =
+          static_cast<std::int64_t>(rng.UniformBelow(1u << 16));
+      for (const std::size_t stride : {std::size_t{1}, std::size_t{8}}) {
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, std::size_t{8},
+                                    std::size_t{17}}) {
+          const Lanes got = multi.DotAccumulate(init, a.data(), stride,
+                                                b32.data(), 1, n, {0, 1}, {2});
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            std::int64_t want = init;
+            for (std::size_t i = 0; i < n; ++i)
+              want = scalars[l].Add(
+                  want, scalars[l].Mul(a[i * stride].v[l], b32[i], {0, 1}),
+                  {2});
+            EXPECT_EQ(got.v[l], want)
+                << set.name << " lane-operand n=" << n << " stride=" << stride
+                << " lane=" << l << " " << selections[l].ToString();
+          }
+          EXPECT_EQ(got.rep[kLanes - 1], got.rep[0])
+              << set.name << " duplicate lanes split, n=" << n
+              << " stride=" << stride;
+        }
+      }
+      for (std::size_t l = 0; l < kLanes; ++l)
+        ExpectSameCounts(multi.Counts(l), scalars[l].Counts(),
+                         set.name + " lane-operand counts lane " +
+                             std::to_string(l));
     }
   }
 }

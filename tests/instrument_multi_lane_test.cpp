@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "axc/catalog.hpp"
+#include "common/test_support.hpp"
 #include "instrument/approx_context.hpp"
 #include "instrument/multi_approx_context.hpp"
 #include "util/rng.hpp"
@@ -27,76 +28,9 @@
 namespace axdse::instrument {
 namespace {
 
-ApproxSelection RandomSelection(const axc::OperatorSet& set,
-                                std::size_t num_vars, util::Rng& rng) {
-  ApproxSelection sel(num_vars);
-  sel.SetAdderIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.adders.size())));
-  sel.SetMultiplierIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.multipliers.size())));
-  for (std::size_t v = 0; v < num_vars; ++v)
-    if (rng.UniformBelow(2) == 1) sel.SetVariable(v, true);
-  return sel;
-}
-
-/// Lane batches mix fresh random selections with repeats of earlier lanes,
-/// so runs exercise both fully-split and partially-collapsed partitions.
-std::vector<ApproxSelection> RandomLaneBatch(const axc::OperatorSet& set,
-                                             std::size_t num_vars,
-                                             std::size_t lanes,
-                                             util::Rng& rng) {
-  std::vector<ApproxSelection> selections;
-  selections.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (l > 0 && rng.UniformBelow(4) == 0)
-      selections.push_back(selections[rng.UniformBelow(l)]);
-    else
-      selections.push_back(RandomSelection(set, num_vars, rng));
-  }
-  return selections;
-}
-
-void ExpectSameCounts(const energy::OpCounts& lane,
-                      const energy::OpCounts& scalar,
-                      const std::string& what) {
-  EXPECT_EQ(lane.precise_adds, scalar.precise_adds) << what;
-  EXPECT_EQ(lane.approx_adds, scalar.approx_adds) << what;
-  EXPECT_EQ(lane.precise_muls, scalar.precise_muls) << what;
-  EXPECT_EQ(lane.approx_muls, scalar.approx_muls) << what;
-}
-
-template <class ConcreteKernel>
-void CheckLanesAgainstScalar(const ConcreteKernel& kernel, int cases,
-                             std::uint64_t seed) {
-  util::Rng rng(seed);
-  MultiApproxContext multi(kernel.Operators(), kernel.NumVariables());
-  ApproxContext scalar = kernel.MakeContext();
-  for (int c = 0; c < cases; ++c) {
-    for (const std::size_t lanes :
-         {std::size_t{1}, std::size_t{2}, std::size_t{5},
-          MultiApproxContext::kMaxLanes}) {
-      const std::vector<ApproxSelection> selections = RandomLaneBatch(
-          kernel.Operators(), kernel.NumVariables(), lanes, rng);
-      multi.Configure(selections);
-      const std::vector<double> got = kernel.RunLanes(multi);
-      ASSERT_EQ(got.size() % lanes, 0u) << kernel.Name();
-      const std::size_t out_size = got.size() / lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        scalar.Configure(selections[l]);
-        const std::vector<double> want = kernel.Run(scalar);
-        ASSERT_EQ(want.size(), out_size) << kernel.Name();
-        for (std::size_t i = 0; i < out_size; ++i)
-          ASSERT_EQ(got[l * out_size + i], want[i])
-              << kernel.Name() << " lane=" << l << "/" << lanes
-              << " out=" << i << " " << selections[l].ToString();
-        ExpectSameCounts(multi.Counts(l), scalar.Counts(),
-                         kernel.Name() + " lane " + std::to_string(l) + "/" +
-                             std::to_string(lanes) + " " +
-                             selections[l].ToString());
-      }
-    }
-  }
-}
+using testsupport::CheckLanesAgainstScalar;
+using testsupport::ExpectSameCounts;
+using testsupport::RandomLaneBatch;
 
 TEST(MultiLaneEquivalence, ConfigureValidatesLikeScalar) {
   const auto set = axc::EvoApproxCatalog::Instance().FirSet();
@@ -159,6 +93,36 @@ TEST(MultiLaneEquivalence, ResolvedOpsMatchPerLaneScalarContexts) {
     for (std::size_t l = 0; l < lanes; ++l)
       ExpectSameCounts(multi.Counts(l), scalars[l].Counts(),
                        "resolved-ops lane " + std::to_string(l));
+  }
+}
+
+TEST(MultiLaneEquivalence, MapKeepsPartitionAndMatchesScalarTransform) {
+  // Map is the uncounted wiring primitive shared kernel bodies use for
+  // negate/shift/abs: per lane it must equal the scalar context's Map of
+  // that lane's scalar result, and it must leave the partition untouched.
+  util::Rng rng(373);
+  const auto set = axc::EvoApproxCatalog::Instance().FirSet();
+  const auto fn = [](std::int64_t v) { return (v >> 3) - 2 * v; };
+  for (int c = 0; c < 8; ++c) {
+    const std::size_t lanes = 1 + rng.UniformBelow(MultiApproxContext::kMaxLanes);
+    const std::vector<ApproxSelection> selections =
+        RandomLaneBatch(set, 4, lanes, rng);
+    MultiApproxContext multi(set, 4);
+    multi.Configure(selections);
+    const std::int64_t a =
+        static_cast<std::int64_t>(rng.UniformBelow(1u << 20));
+    const MultiApproxContext::Lanes x =
+        multi.AddResolved(multi.ApproxLaneMask({0, 3}), multi.Broadcast(a),
+                          multi.Broadcast(-1234));
+    const MultiApproxContext::Lanes y = multi.Map(x, fn);
+    EXPECT_EQ(y.rep, x.rep);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ApproxContext scalar(set, 4);
+      scalar.Configure(selections[l]);
+      const std::int64_t sx =
+          scalar.AddResolved(scalar.ApproxLaneMask({0, 3}), a, -1234);
+      EXPECT_EQ(y.v[l], scalar.Map(sx, fn)) << "lane " << l;
+    }
   }
 }
 

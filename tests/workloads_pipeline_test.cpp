@@ -1,8 +1,9 @@
 // Tests for workloads/pipeline_kernel: the multi-stage kernels behind the
 // registry's "jpeg-path", "edge-path", and "nn-layer" entries. The core
 // contracts: stage-scoped variables partition one selection across stages;
-// per-stage op counts sum exactly to the whole-kernel totals; RunLanes is
-// per-lane bit-identical to Run; the end-to-end quality metrics behave like
+// per-stage op counts sum exactly to the whole-kernel totals; Run matches an
+// independent per-op mirror in outputs, op counts and stage counts; RunLanes
+// is per-lane bit-identical to Run; the end-to-end quality metrics behave like
 // metrics; and the exploration stack (Explorer, checkpoint suspend/resume,
 // Engine) treats pipelines like any other kernel while surfacing the
 // per-stage attribution in ExplorationResult::stage_counts.
@@ -19,11 +20,11 @@
 #include <vector>
 
 #include "common/kernel_mirrors.hpp"
+#include "common/test_support.hpp"
 #include "dse/checkpoint.hpp"
 #include "dse/engine.hpp"
 #include "dse/explorer.hpp"
 #include "instrument/approx_context.hpp"
-#include "instrument/multi_approx_context.hpp"
 #include "util/rng.hpp"
 #include "workloads/registry.hpp"
 
@@ -32,7 +33,8 @@ namespace {
 
 using instrument::ApproxContext;
 using instrument::ApproxSelection;
-using instrument::MultiApproxContext;
+using testsupport::ExpectSameCounts;
+using testsupport::RandomSelection;
 
 /// The three built-in pipelines at fast test sizes, via the same registry
 /// path requests and campaigns use.
@@ -51,18 +53,6 @@ std::vector<PipelineCase> BuiltinCases() {
 
 std::unique_ptr<Kernel> Make(const PipelineCase& c) {
   return KernelRegistry::Global().Create(KernelSpec::Parse(c.spec), 2023);
-}
-
-ApproxSelection RandomSelection(const axc::OperatorSet& set,
-                                std::size_t num_vars, util::Rng& rng) {
-  ApproxSelection sel(num_vars);
-  sel.SetAdderIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.adders.size())));
-  sel.SetMultiplierIndex(
-      static_cast<std::uint32_t>(rng.UniformBelow(set.multipliers.size())));
-  for (std::size_t v = 0; v < num_vars; ++v)
-    if (rng.UniformBelow(2) == 1) sel.SetVariable(v, true);
-  return sel;
 }
 
 std::uint64_t TotalOps(const energy::OpCounts& counts) {
@@ -192,14 +182,6 @@ TEST(PipelineKernel, StageScopedSelectionApproximatesOnlyThatStage) {
 // parameters), so the kernel bodies are never compared with themselves.
 // ---------------------------------------------------------------------------
 
-void ExpectSameCounts(const energy::OpCounts& got,
-                      const energy::OpCounts& want, const std::string& what) {
-  EXPECT_EQ(got.precise_adds, want.precise_adds) << what;
-  EXPECT_EQ(got.approx_adds, want.approx_adds) << what;
-  EXPECT_EQ(got.precise_muls, want.precise_muls) << what;
-  EXPECT_EQ(got.approx_muls, want.approx_muls) << what;
-}
-
 TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
   using Mirror = std::function<testsupport::PipelineMirror(ApproxContext&)>;
   const std::vector<std::pair<PipelineCase, Mirror>> cases = {
@@ -255,40 +237,11 @@ TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineKernel, RunLanesMatchesScalarRunPerLane) {
-  util::Rng rng(314159);
+  std::uint64_t seed = 314159;
   for (const PipelineCase& c : BuiltinCases()) {
     const std::unique_ptr<Kernel> kernel = Make(c);
     ASSERT_TRUE(kernel->SupportsLanes()) << c.spec;
-    MultiApproxContext multi(kernel->Operators(), kernel->NumVariables());
-    ApproxContext scalar = kernel->MakeContext();
-    for (int trial = 0; trial < 6; ++trial) {
-      for (const std::size_t lanes :
-           {std::size_t{1}, std::size_t{3}, MultiApproxContext::kMaxLanes}) {
-        std::vector<ApproxSelection> selections;
-        for (std::size_t l = 0; l < lanes; ++l)
-          selections.push_back(RandomSelection(
-              kernel->Operators(), kernel->NumVariables(), rng));
-        multi.Configure(selections);
-        const std::vector<double> got = kernel->RunLanes(multi);
-        ASSERT_EQ(got.size() % lanes, 0u) << c.spec;
-        const std::size_t out_size = got.size() / lanes;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          scalar.Configure(selections[l]);
-          const std::vector<double> want = kernel->Run(scalar);
-          ASSERT_EQ(want.size(), out_size) << c.spec;
-          for (std::size_t i = 0; i < out_size; ++i)
-            ASSERT_EQ(got[l * out_size + i], want[i])
-                << c.spec << " lane=" << l << "/" << lanes << " out=" << i
-                << " " << selections[l].ToString();
-          const energy::OpCounts& lane_counts = multi.Counts(l);
-          const energy::OpCounts& scalar_counts = scalar.Counts();
-          EXPECT_EQ(lane_counts.precise_adds, scalar_counts.precise_adds);
-          EXPECT_EQ(lane_counts.approx_adds, scalar_counts.approx_adds);
-          EXPECT_EQ(lane_counts.precise_muls, scalar_counts.precise_muls);
-          EXPECT_EQ(lane_counts.approx_muls, scalar_counts.approx_muls);
-        }
-      }
-    }
+    testsupport::CheckLanesAgainstScalar(*kernel, 6, seed++);
   }
 }
 
