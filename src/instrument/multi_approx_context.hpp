@@ -355,6 +355,8 @@ class MultiApproxContext {
     while (i < n) {
       std::size_t end = i + 1;
       while (end < n && RepBits(y[end].rep) == RepBits(y[i].rep)) ++end;
+      // The incoming invariant, checked before the representatives change.
+      for (std::size_t j = i; j < end; ++j) AssertGroupedBy(y[j], y[j].rep);
       Partition pi{};
       MeetWithKeys(y[i].rep, keys, pi);
       for (std::size_t l = 0; l < num_lanes_; ++l) {
@@ -373,7 +375,6 @@ class MultiApproxContext {
         });
       }
       for (std::size_t j = i; j < end; ++j) {
-        AssertGroupedBy(y[j], y[j].rep);
         y[j].rep = pi;
         for (std::size_t l = 0; l < num_lanes_; ++l) y[j].v[l] = y[j].v[pi[l]];
       }
