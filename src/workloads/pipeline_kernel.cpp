@@ -211,9 +211,8 @@ class ThresholdStage final : public StageOf<ThresholdStage> {
             std::span<typename Ctx::Value> out) const {
     const auto bias = ctx.Broadcast(-threshold_);
     for (std::size_t i = 0; i < in.size(); ++i)
-      out[i] = ctx.Map(ctx.Add(in[i], bias, {base}), [](std::int64_t v) {
-        return std::int64_t{v > 0 ? 255 : 0};
-      });
+      out[i] = ctx.Map(ctx.Add(in[i], bias, {base}),
+                       [](std::int64_t v) { return v > 0 ? 255 : 0; });
   }
 
   std::int64_t threshold_;
