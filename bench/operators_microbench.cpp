@@ -108,6 +108,45 @@ void BM_BatchedDot(benchmark::State& state, std::uint32_t mul_index,
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 
+// Signed short chains: the jpeg-path DCT shape (int64 pixel-scale values
+// times Q14 int32 coefficients, mixed signs) through the real per-call path
+// of ApproxContext::DotAccumulate — selection masks, count update, chain
+// dispatch — at n = 1, 8 and 64. Each case reports the time per call and
+// per MAC, so the fixed cost per chain call is the n = 1 row and the
+// per-MAC cost is the n = 64 row.
+void BM_SignedShortChain(benchmark::State& state, std::uint32_t mul_index,
+                         std::uint32_t add_index) {
+  const auto set = axc::EvoApproxCatalog::Instance().FirSet();
+  instrument::ApproxContext ctx(set, 3);
+  instrument::ApproxSelection sel(3);
+  sel.SetAdderIndex(add_index);
+  sel.SetMultiplierIndex(mul_index);
+  sel.SetVariable(0, true);  // both mul and add groups approximated
+  sel.SetVariable(2, true);
+  ctx.Configure(sel);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(9);
+  // 64K operands (768 KB, L2-resident): long enough that the branch
+  // predictor cannot learn the operand signs of a repeating sequence.
+  constexpr std::size_t kOperands = std::size_t{1} << 16;
+  std::vector<std::int64_t> a(kOperands);
+  std::vector<std::int32_t> b(kOperands);
+  for (auto& v : a) v = static_cast<std::int64_t>(rng.UniformBelow(512)) - 256;
+  for (auto& v : b)
+    v = static_cast<std::int32_t>(rng.UniformBelow(32768)) - 16384;
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.DotAccumulate(0, &a[offset], 1, &b[offset],
+                                               1, n, {0, 1}, {2}));
+    offset = (offset + 64) & (kOperands - 1);  // cycle through the operands
+  }
+  const auto per_iteration = benchmark::Counter::kIsIterationInvariantRate |
+                             benchmark::Counter::kInvert;
+  state.counters["s_per_call"] = benchmark::Counter(1, per_iteration);
+  state.counters["s_per_mac"] =
+      benchmark::Counter(static_cast<double>(n), per_iteration);
+}
+
 void BM_ContextDispatch(benchmark::State& state) {
   const auto set = axc::EvoApproxCatalog::Instance().MatMulSet();
   instrument::ApproxContext ctx(set, 4);
@@ -172,6 +211,20 @@ const int kRegistered = [] {
     benchmark::RegisterBenchmark(
         ("dispatch/batched_dot/" + mul8[mi].type_code).c_str(), BM_BatchedDot,
         mi, 2u);
+  // FirSet pairs: precise, DRUM-6 ("043"), leading-one ("067") and the
+  // 8-bit lower-OR adder ("0HE") with the exact multiplier.
+  const std::pair<const char*, std::pair<std::uint32_t, std::uint32_t>>
+      chains[] = {{"precise", {0u, 0u}},
+                  {"drum", {3u, 0u}},
+                  {"leading_one", {5u, 0u}},
+                  {"approx_adder", {0u, 3u}}};
+  for (const auto& [label, pair] : chains)
+    benchmark::RegisterBenchmark(
+        (std::string("signed_chain/i64xi32/") + label).c_str(),
+        BM_SignedShortChain, pair.first, pair.second)
+        ->Arg(1)
+        ->Arg(8)
+        ->Arg(64);
   benchmark::RegisterBenchmark("kernel/matmul_run", BM_MatMulKernelRun)
       ->Arg(10)
       ->Arg(25);

@@ -39,7 +39,7 @@ ExactAdder::ExactAdder(int operand_bits) : operand_bits_(operand_bits) {
 std::string ExactAdder::Describe() const { return "Exact"; }
 
 std::uint64_t ExactAdder::Add(std::uint64_t a, std::uint64_t b) const noexcept {
-  return ops::ExactAdd(a, b);
+  return ops::ExactAddFn{}(a, b);
 }
 
 LowerOrAdder::LowerOrAdder(int operand_bits, int approx_bits)

@@ -4,14 +4,16 @@
 // evaluate hot path. An ApproxSelection is fixed for an entire kernel run,
 // so instrument::ApproxContext::Configure resolves each catalog model to a
 // descriptor ONCE per configuration; every scalar op then goes through a
-// flat, inlinable switch (Dispatch*) instead of a virtual call, and batched
-// primitives hoist even the switch out of inner loops (WithAddOp/WithMulOp).
+// flat, inlinable switch (Dispatch*) instead of a virtual call, and the
+// batched MAC chains (instrument/mac_chains.hpp) jump straight to a loop
+// compiled for the descriptor pair's opcodes (AddFnFor/MulFnFor).
 //
 // Operators outside the built-in families (user subclasses of Adder /
 // Multiplier) degrade gracefully: their descriptor carries kVirtual plus
 // the model pointer, and dispatch routes through the historical virtual
 // call — identical results, identical cost to the pre-plan code.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "axc/op_primitives.hpp"
@@ -90,46 +92,116 @@ std::uint64_t VirtualMul(const Multiplier* model, std::uint64_t a,
                          std::uint64_t b) noexcept;
 }  // namespace detail
 
-/// Invokes `fn` with an inlinable functor implementing the descriptor's
-/// unsigned add — the switch runs once, so loops passed as `fn` carry zero
-/// per-element dispatch. `fn`'s return type must not depend on the functor.
+/// Number of opcodes per operator kind (kVirtual is the last one): the
+/// dimensions of the per-code tables in instrument/mac_chains.hpp.
+inline constexpr std::size_t kAddOpCodes =
+    static_cast<std::size_t>(AddOpCode::kVirtual) + 1;
+inline constexpr std::size_t kMulOpCodes =
+    static_cast<std::size_t>(MulOpCode::kVirtual) + 1;
+
+/// The inlinable unsigned-add functor of opcode C with the descriptor's
+/// family parameter bound. kExact yields the named ops::ExactAddFn, which
+/// the sign-magnitude wrappers fold to modular arithmetic.
+template <AddOpCode C>
+constexpr auto AddFnFor(const AddOpDescriptor& d) noexcept {
+  if constexpr (C == AddOpCode::kExact) {
+    return ops::ExactAddFn{};
+  } else if constexpr (C == AddOpCode::kLowerOr) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::LowerOrAdd(a, b, k);
+    };
+  } else if constexpr (C == AddOpCode::kTruncatedZero) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::TruncatedZeroAdd(a, b, k);
+    };
+  } else if constexpr (C == AddOpCode::kTruncatedPassA) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::TruncatedPassAAdd(a, b, k);
+    };
+  } else if constexpr (C == AddOpCode::kSegmentedCarry) {
+    return [s = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::SegmentedCarryAdd(a, b, s);
+    };
+  } else if constexpr (C == AddOpCode::kAlmostCorrect) {
+    return [w = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::AlmostCorrectAdd(a, b, w);
+    };
+  } else if constexpr (C == AddOpCode::kAma) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::AmaAdd(a, b, k);
+    };
+  } else {
+    static_assert(C == AddOpCode::kVirtual);
+    return [m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
+      return detail::VirtualAdd(m, a, b);
+    };
+  }
+}
+
+/// Multiplier counterpart of AddFnFor (kExact yields ops::ExactMulFn).
+template <MulOpCode C>
+constexpr auto MulFnFor(const MulOpDescriptor& d) noexcept {
+  if constexpr (C == MulOpCode::kExact) {
+    return ops::ExactMulFn{};
+  } else if constexpr (C == MulOpCode::kPpTruncated) {
+    return [c = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::PpTruncatedMul(a, b, c);
+    };
+  } else if constexpr (C == MulOpCode::kOperandTruncated) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::OperandTruncatedMul(a, b, k);
+    };
+  } else if constexpr (C == MulOpCode::kMitchell) {
+    return [](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::MitchellLogMul(a, b);
+    };
+  } else if constexpr (C == MulOpCode::kDrum) {
+    return [k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::DrumMul(a, b, k);
+    };
+  } else if constexpr (C == MulOpCode::kLeadingOne) {
+    return [m = d.param](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::LeadingOneMul(a, b, m);
+    };
+  } else if constexpr (C == MulOpCode::kKulkarni) {
+    return [](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::KulkarniMul(a, b);
+    };
+  } else if constexpr (C == MulOpCode::kRoba) {
+    return [](std::uint64_t a, std::uint64_t b) noexcept {
+      return ops::RobaMul(a, b);
+    };
+  } else {
+    static_assert(C == MulOpCode::kVirtual);
+    return [m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
+      return detail::VirtualMul(m, a, b);
+    };
+  }
+}
+
+/// Invokes `fn` with the descriptor's functor (AddFnFor) — the one switch
+/// over add opcodes. `fn`'s return type must not depend on the functor.
 template <class Fn>
 decltype(auto) WithAddOp(const AddOpDescriptor& d, Fn&& fn) {
   switch (d.code) {
     case AddOpCode::kLowerOr:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::LowerOrAdd(a, b, k);
-      });
+      return fn(AddFnFor<AddOpCode::kLowerOr>(d));
     case AddOpCode::kTruncatedZero:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::TruncatedZeroAdd(a, b, k);
-      });
+      return fn(AddFnFor<AddOpCode::kTruncatedZero>(d));
     case AddOpCode::kTruncatedPassA:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::TruncatedPassAAdd(a, b, k);
-      });
+      return fn(AddFnFor<AddOpCode::kTruncatedPassA>(d));
     case AddOpCode::kSegmentedCarry:
-      return fn([s = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::SegmentedCarryAdd(a, b, s);
-      });
+      return fn(AddFnFor<AddOpCode::kSegmentedCarry>(d));
     case AddOpCode::kAlmostCorrect:
-      return fn([w = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::AlmostCorrectAdd(a, b, w);
-      });
+      return fn(AddFnFor<AddOpCode::kAlmostCorrect>(d));
     case AddOpCode::kAma:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::AmaAdd(a, b, k);
-      });
+      return fn(AddFnFor<AddOpCode::kAma>(d));
     case AddOpCode::kVirtual:
-      return fn([m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
-        return detail::VirtualAdd(m, a, b);
-      });
+      return fn(AddFnFor<AddOpCode::kVirtual>(d));
     case AddOpCode::kExact:
       break;
   }
-  return fn([](std::uint64_t a, std::uint64_t b) noexcept {
-    return ops::ExactAdd(a, b);
-  });
+  return fn(AddFnFor<AddOpCode::kExact>(d));
 }
 
 /// Multiplier counterpart of WithAddOp.
@@ -137,114 +209,52 @@ template <class Fn>
 decltype(auto) WithMulOp(const MulOpDescriptor& d, Fn&& fn) {
   switch (d.code) {
     case MulOpCode::kPpTruncated:
-      return fn([c = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::PpTruncatedMul(a, b, c);
-      });
+      return fn(MulFnFor<MulOpCode::kPpTruncated>(d));
     case MulOpCode::kOperandTruncated:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::OperandTruncatedMul(a, b, k);
-      });
+      return fn(MulFnFor<MulOpCode::kOperandTruncated>(d));
     case MulOpCode::kMitchell:
-      return fn([](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::MitchellLogMul(a, b);
-      });
+      return fn(MulFnFor<MulOpCode::kMitchell>(d));
     case MulOpCode::kDrum:
-      return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::DrumMul(a, b, k);
-      });
+      return fn(MulFnFor<MulOpCode::kDrum>(d));
     case MulOpCode::kLeadingOne:
-      return fn([m = d.param](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::LeadingOneMul(a, b, m);
-      });
+      return fn(MulFnFor<MulOpCode::kLeadingOne>(d));
     case MulOpCode::kKulkarni:
-      return fn([](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::KulkarniMul(a, b);
-      });
+      return fn(MulFnFor<MulOpCode::kKulkarni>(d));
     case MulOpCode::kRoba:
-      return fn([](std::uint64_t a, std::uint64_t b) noexcept {
-        return ops::RobaMul(a, b);
-      });
+      return fn(MulFnFor<MulOpCode::kRoba>(d));
     case MulOpCode::kVirtual:
-      return fn([m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
-        return detail::VirtualMul(m, a, b);
-      });
+      return fn(MulFnFor<MulOpCode::kVirtual>(d));
     case MulOpCode::kExact:
       break;
   }
-  return fn([](std::uint64_t a, std::uint64_t b) noexcept {
-    return ops::ExactMul(a, b);
-  });
+  return fn(MulFnFor<MulOpCode::kExact>(d));
 }
 
-/// Unsigned add through the descriptor's flat switch.
+/// Unsigned add through the descriptor's switch.
 inline std::uint64_t DispatchAdd(const AddOpDescriptor& d, std::uint64_t a,
                                  std::uint64_t b) noexcept {
-  switch (d.code) {
-    case AddOpCode::kExact:
-      return ops::ExactAdd(a, b);
-    case AddOpCode::kLowerOr:
-      return ops::LowerOrAdd(a, b, d.param);
-    case AddOpCode::kTruncatedZero:
-      return ops::TruncatedZeroAdd(a, b, d.param);
-    case AddOpCode::kTruncatedPassA:
-      return ops::TruncatedPassAAdd(a, b, d.param);
-    case AddOpCode::kSegmentedCarry:
-      return ops::SegmentedCarryAdd(a, b, d.param);
-    case AddOpCode::kAlmostCorrect:
-      return ops::AlmostCorrectAdd(a, b, d.param);
-    case AddOpCode::kAma:
-      return ops::AmaAdd(a, b, d.param);
-    case AddOpCode::kVirtual:
-      return detail::VirtualAdd(d.fallback, a, b);
-  }
-  return ops::ExactAdd(a, b);  // unreachable; silences -Wreturn-type
+  return WithAddOp(d, [=](auto add) noexcept { return add(a, b); });
 }
 
-/// Unsigned multiply through the descriptor's flat switch.
+/// Unsigned multiply through the descriptor's switch.
 inline std::uint64_t DispatchMul(const MulOpDescriptor& d, std::uint64_t a,
                                  std::uint64_t b) noexcept {
-  switch (d.code) {
-    case MulOpCode::kExact:
-      return ops::ExactMul(a, b);
-    case MulOpCode::kPpTruncated:
-      return ops::PpTruncatedMul(a, b, d.param);
-    case MulOpCode::kOperandTruncated:
-      return ops::OperandTruncatedMul(a, b, d.param);
-    case MulOpCode::kMitchell:
-      return ops::MitchellLogMul(a, b);
-    case MulOpCode::kDrum:
-      return ops::DrumMul(a, b, d.param);
-    case MulOpCode::kLeadingOne:
-      return ops::LeadingOneMul(a, b, d.param);
-    case MulOpCode::kKulkarni:
-      return ops::KulkarniMul(a, b);
-    case MulOpCode::kRoba:
-      return ops::RobaMul(a, b);
-    case MulOpCode::kVirtual:
-      return detail::VirtualMul(d.fallback, a, b);
-  }
-  return ops::ExactMul(a, b);  // unreachable; silences -Wreturn-type
+  return WithMulOp(d, [=](auto mul) noexcept { return mul(a, b); });
 }
 
 /// Signed addition with the historical sign-magnitude semantics
 /// (bit-identical to Adder::AddSigned for the same descriptor's model).
 inline std::int64_t DispatchAddSigned(const AddOpDescriptor& d, std::int64_t a,
                                       std::int64_t b) noexcept {
-  return ops::SignedAdd(
-      [&d](std::uint64_t x, std::uint64_t y) noexcept {
-        return DispatchAdd(d, x, y);
-      },
-      a, b);
+  return WithAddOp(
+      d, [=](auto add) noexcept { return ops::SignedAdd(add, a, b); });
 }
 
 /// Signed multiplication (bit-identical to Multiplier::MultiplySigned).
 inline std::int64_t DispatchMulSigned(const MulOpDescriptor& d, std::int64_t a,
                                       std::int64_t b) noexcept {
-  return ops::SignedMul(
-      [&d](std::uint64_t x, std::uint64_t y) noexcept {
-        return DispatchMul(d, x, y);
-      },
-      a, b);
+  return WithMulOp(
+      d, [=](auto mul) noexcept { return ops::SignedMul(mul, a, b); });
 }
 
 }  // namespace axdse::axc

@@ -51,7 +51,7 @@ std::string ExactMultiplier::Describe() const { return "Exact"; }
 
 std::uint64_t ExactMultiplier::Multiply(std::uint64_t a,
                                         std::uint64_t b) const noexcept {
-  return ops::ExactMul(a, b);
+  return ops::ExactMulFn{}(a, b);
 }
 
 PpTruncatedMultiplier::PpTruncatedMultiplier(int operand_bits, int cut_column)

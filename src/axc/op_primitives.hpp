@@ -5,14 +5,26 @@
 // API) and the compiled-plan dispatcher (execution_plan.hpp, the evaluate
 // hot path) call these, so the two dispatch paths cannot diverge.
 //
-// Also home of the sign-magnitude helpers shared by AddSigned /
+// Also home of the sign-magnitude wrappers shared by AddSigned /
 // MultiplySigned and the plan dispatcher. Negation goes through
 // std::uint64_t so INT64_MIN magnitudes are well-defined (signed `-a`
 // overflows there); for every other input the results are bit-identical to
 // the historical signed negation.
+//
+// Branch-free rule: a MAC chain feeds these one element at a time, and
+// accumulators cross zero and operands straddle the approximation
+// thresholds all the time, so a data-dependent branch here mispredicts
+// about half the time. Sign handling and the DRUM / leading-one shift
+// amounts are therefore computed with masks and max(0, .) instead of
+// branches. Exact operators are named functor types (ExactAddFn,
+// ExactMulFn): the sign-magnitude wrappers recognise them at compile time
+// and collapse to modular `a + b` / `a * b`, which is the same value.
+// Vectorization is decided by the loops in instrument/mac_chains.hpp, not
+// here.
 
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 
 namespace axdse::axc::ops {
 
@@ -20,48 +32,70 @@ constexpr std::uint64_t LowMask(int bits) noexcept {
   return bits >= 64 ? ~0ULL : ((1ULL << bits) - 1);
 }
 
-/// Index of the most significant set bit; precondition v != 0.
+/// Index of the most significant set bit; precondition v != 0. Written
+/// as 63 ^ clz (equal to 63 - clz on [0, 63]) because compilers fold that
+/// form into one bit-scan instruction.
 constexpr int MsbIndex(std::uint64_t v) noexcept {
-  return 63 - std::countl_zero(v);
+  return 63 ^ std::countl_zero(v);
+}
+
+/// All ones when v < 0, zero otherwise.
+constexpr std::uint64_t SignMask(std::int64_t v) noexcept {
+  return 0 - (static_cast<std::uint64_t>(v) >> 63);
 }
 
 /// |v| as an unsigned value; defined for INT64_MIN (yields 2^63).
 constexpr std::uint64_t UnsignedMagnitude(std::int64_t v) noexcept {
-  const std::uint64_t u = static_cast<std::uint64_t>(v);
-  return v < 0 ? 0 - u : u;
+  const std::uint64_t m = SignMask(v);
+  return (static_cast<std::uint64_t>(v) ^ m) - m;
 }
 
 /// Reapplies a sign to an unsigned magnitude (modular, never UB).
 constexpr std::int64_t ApplySign(bool negative,
                                  std::uint64_t magnitude) noexcept {
-  return static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
+  const std::uint64_t m = 0 - static_cast<std::uint64_t>(negative);
+  return static_cast<std::int64_t>((magnitude ^ m) - m);
+}
+
+/// Right shift that keeps the top `kept_bits` bits of v:
+/// max(0, msb(v) - kept_bits + 1), so 0 when v < 2^kept_bits (v == 0
+/// included).
+constexpr int KeepTopShift(std::uint64_t v, int kept_bits) noexcept {
+  const int shift = MsbIndex(v | 1) - kept_bits + 1;
+  return shift > 0 ? shift : 0;
 }
 
 // --- adder families ---------------------------------------------------------
 
-constexpr std::uint64_t ExactAdd(std::uint64_t a, std::uint64_t b) noexcept {
-  return a + b;
-}
+/// The exact adder as a named type (see the branch-free rule above).
+struct ExactAddFn {
+  constexpr std::uint64_t operator()(std::uint64_t a,
+                                     std::uint64_t b) const noexcept {
+    return a + b;
+  }
+};
+
+// The three truncating families below add the high parts as
+// (a & high) + (b & high), which equals ((a >> k) + (b >> k)) << k modulo
+// 2^64 without the two variable shifts on the accumulator's dependency
+// chain.
 
 constexpr std::uint64_t LowerOrAdd(std::uint64_t a, std::uint64_t b,
                                    int approx_bits) noexcept {
-  const std::uint64_t mask = LowMask(approx_bits);
-  const std::uint64_t high = (a >> approx_bits) + (b >> approx_bits);
-  const std::uint64_t low = (a | b) & mask;
-  return (high << approx_bits) | low;
+  const std::uint64_t low = LowMask(approx_bits);
+  return ((a & ~low) + (b & ~low)) | ((a | b) & low);
 }
 
 constexpr std::uint64_t TruncatedZeroAdd(std::uint64_t a, std::uint64_t b,
                                          int approx_bits) noexcept {
-  const std::uint64_t high = (a >> approx_bits) + (b >> approx_bits);
-  return high << approx_bits;
+  const std::uint64_t low = LowMask(approx_bits);
+  return (a & ~low) + (b & ~low);
 }
 
 constexpr std::uint64_t TruncatedPassAAdd(std::uint64_t a, std::uint64_t b,
                                           int approx_bits) noexcept {
-  const std::uint64_t mask = LowMask(approx_bits);
-  const std::uint64_t high = (a >> approx_bits) + (b >> approx_bits);
-  return (high << approx_bits) | (a & mask);
+  const std::uint64_t low = LowMask(approx_bits);
+  return ((a & ~low) + (b & ~low)) | (a & low);
 }
 
 inline std::uint64_t SegmentedCarryAdd(std::uint64_t a, std::uint64_t b,
@@ -127,9 +161,13 @@ inline std::uint64_t AmaAdd(std::uint64_t a, std::uint64_t b,
 
 // --- multiplier families -----------------------------------------------------
 
-constexpr std::uint64_t ExactMul(std::uint64_t a, std::uint64_t b) noexcept {
-  return a * b;
-}
+/// The exact multiplier as a named type (see the branch-free rule above).
+struct ExactMulFn {
+  constexpr std::uint64_t operator()(std::uint64_t a,
+                                     std::uint64_t b) const noexcept {
+    return a * b;
+  }
+};
 
 inline std::uint64_t PpTruncatedMul(std::uint64_t a, std::uint64_t b,
                                     int cut_column) noexcept {
@@ -188,31 +226,22 @@ inline std::uint64_t MitchellLogMul(std::uint64_t a,
 
 inline std::uint64_t DrumMul(std::uint64_t a, std::uint64_t b,
                              int kept_bits) noexcept {
-  const auto reduce = [kept_bits](std::uint64_t v, int& shift) -> std::uint64_t {
-    shift = 0;
-    if (v < (1ULL << kept_bits)) return v;  // already fits: exact
-    const int msb = MsbIndex(v);
-    shift = msb - kept_bits + 1;
-    std::uint64_t kept = v >> shift;
-    kept |= 1;  // force LSB to 1: expected-value compensation (unbiasing)
-    return kept;
-  };
-  int sa = 0;
-  int sb = 0;
-  const std::uint64_t ra = reduce(a, sa);
-  const std::uint64_t rb = reduce(b, sb);
+  // Each operand keeps its top `kept_bits` bits; a truncated operand gets
+  // its LSB forced to 1 (expected-value compensation), one that already
+  // fits stays exact.
+  const int sa = KeepTopShift(a, kept_bits);
+  const int sb = KeepTopShift(b, kept_bits);
+  const std::uint64_t ra = (a >> sa) | static_cast<std::uint64_t>(sa != 0);
+  const std::uint64_t rb = (b >> sb) | static_cast<std::uint64_t>(sb != 0);
   return (ra * rb) << (sa + sb);
 }
 
 inline std::uint64_t LeadingOneMul(std::uint64_t a, std::uint64_t b,
                                    int msb_bits) noexcept {
-  const auto round_down = [msb_bits](std::uint64_t v) -> std::uint64_t {
-    if (v < (1ULL << msb_bits)) return v;
-    const int msb = MsbIndex(v);
-    const int drop = msb - msb_bits + 1;
-    return (v >> drop) << drop;
-  };
-  return round_down(a) * round_down(b);
+  // Each operand rounds down to its top `msb_bits` bits.
+  const int da = KeepTopShift(a, msb_bits);
+  const int db = KeepTopShift(b, msb_bits);
+  return ((a >> da) << da) * ((b >> db) << db);
 }
 
 /// Kulkarni base block: exact 2x2 product except 3*3 -> 7.
@@ -284,24 +313,37 @@ inline std::uint64_t RobaMul(std::uint64_t a, std::uint64_t b) noexcept {
 /// Signed addition over any unsigned add functor: same-sign operands are
 /// approximated on their magnitudes; mixed signs fall back to exact
 /// subtraction (approximate adders model the ADD datapath; DESIGN.md §4.3).
+/// Both candidates are computed and one is picked with a mask (GCC turns a
+/// ternary select here back into a branch), so `add` also sees mixed-sign
+/// magnitudes; it must be total, as every family is.
 template <class AddFn>
 constexpr std::int64_t SignedAdd(const AddFn& add, std::int64_t a,
                                  std::int64_t b) noexcept {
-  if ((a >= 0) == (b >= 0)) {
-    const std::uint64_t mag = add(UnsignedMagnitude(a), UnsignedMagnitude(b));
-    return ApplySign(a < 0, mag);
+  const std::uint64_t exact =
+      static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b);
+  if constexpr (std::is_same_v<AddFn, ExactAddFn>) {
+    return static_cast<std::int64_t>(exact);
+  } else {
+    const std::uint64_t same_sign = ~(SignMask(a) ^ SignMask(b));
+    const std::uint64_t approx = static_cast<std::uint64_t>(ApplySign(
+        a < 0, add(UnsignedMagnitude(a), UnsignedMagnitude(b))));
+    return static_cast<std::int64_t>((approx & same_sign) |
+                                     (exact & ~same_sign));
   }
-  return a + b;  // mixed signs: subtraction handled exactly
 }
 
 /// Signed multiplication over any unsigned multiply functor
-/// (sign-magnitude semantics).
+/// (sign-magnitude semantics; modular `a * b` for the exact functor).
 template <class MulFn>
 constexpr std::int64_t SignedMul(const MulFn& mul, std::int64_t a,
                                  std::int64_t b) noexcept {
-  const bool negative = (a < 0) != (b < 0);
-  const std::uint64_t mag = mul(UnsignedMagnitude(a), UnsignedMagnitude(b));
-  return ApplySign(negative, mag);
+  if constexpr (std::is_same_v<MulFn, ExactMulFn>) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+  } else {
+    return ApplySign((a < 0) != (b < 0),
+                     mul(UnsignedMagnitude(a), UnsignedMagnitude(b)));
+  }
 }
 
 }  // namespace axdse::axc::ops

@@ -339,8 +339,9 @@ class MultiApproxContext {
   ///   y[i] = Add_l(y[i], Mul_l(alpha, x[i]))  for i in [0, n).
   /// Entry partitions generally differ along the array (fir's tap-major
   /// accumulation touches a growing prefix), so entries are processed in
-  /// runs of identical incoming partitions with the operator switch hoisted
-  /// per run and group.
+  /// runs of identical incoming partitions; each group representative's
+  /// run is gathered into a contiguous scratch, so the shared AxpyChain
+  /// runs unchanged.
   template <class X>
   void AxpyAccumulate(Lanes* y, const X* x, std::size_t n, std::int64_t alpha,
                       VarList mul_vars, VarList add_vars) noexcept {
@@ -349,8 +350,7 @@ class MultiApproxContext {
     const std::uint64_t am = ApproxLaneMask(add_vars);
     const DotPlan& plan = PlanFor(mm, am, n);
     const std::uint16_t* keys = plan.keys;
-    const bool alpha_neg = alpha < 0;
-    const std::uint64_t alpha_mag = axc::ops::UnsignedMagnitude(alpha);
+    gather_buf_.resize(n);
     std::size_t i = 0;
     while (i < n) {
       std::size_t end = i + 1;
@@ -361,18 +361,11 @@ class MultiApproxContext {
       MeetWithKeys(y[i].rep, keys, pi);
       for (std::size_t l = 0; l < num_lanes_; ++l) {
         if (pi[l] != l) continue;
-        axc::WithMulOp(plans_[l].mul[(mm >> l) & 1], [&](auto mul) {
-          axc::WithAddOp(plans_[l].add[(am >> l) & 1], [&](auto add) {
-            for (std::size_t j = i; j < end; ++j) {
-              const std::int64_t xv = static_cast<std::int64_t>(x[j]);
-              const std::uint64_t mag =
-                  mul(alpha_mag, axc::ops::UnsignedMagnitude(xv));
-              const std::int64_t product =
-                  axc::ops::ApplySign(alpha_neg != (xv < 0), mag);
-              y[j].v[l] = axc::ops::SignedAdd(add, y[j].v[l], product);
-            }
-          });
-        });
+        for (std::size_t j = i; j < end; ++j) gather_buf_[j - i] = y[j].v[l];
+        detail::AxpyChain(plans_[l].mul[(mm >> l) & 1],
+                          plans_[l].add[(am >> l) & 1], gather_buf_.data(),
+                          x + i, end - i, alpha);
+        for (std::size_t j = i; j < end; ++j) y[j].v[l] = gather_buf_[j - i];
       }
       for (std::size_t j = i; j < end; ++j) {
         y[j].rep = pi;
@@ -530,7 +523,7 @@ class MultiApproxContext {
   // Per-variable lane masks: bit l of var_lane_mask_[v] set when lane l's
   // selection includes variable v (SNIPPETS-style bit-mask hoisting).
   std::vector<std::uint64_t> var_lane_mask_;
-  // Scratch for the lane-operand gather dot.
+  // Scratch for the lane-operand gather dot and the lane AXPY.
   std::vector<std::int64_t> gather_buf_;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "instrument/multi_approx_context.hpp"
-#include "util/rng.hpp"
 
 namespace axdse::workloads {
 
@@ -30,9 +29,7 @@ DctKernel::DctKernel(std::size_t blocks, std::uint64_t seed)
       variables_({{"pixels"}, {"coeffs"}, {"acc"}}),
       operators_(axc::EvoApproxCatalog::Instance().FirSet()) {
   if (blocks == 0) throw std::invalid_argument("DctKernel: blocks == 0");
-  util::Rng rng(seed);
-  pixels_.resize(blocks * 64);
-  for (auto& p : pixels_) p = static_cast<std::uint8_t>(rng.UniformBelow(256));
+  pixels_ = SeededPixels(blocks * 64, seed);
 }
 
 const std::string& DctKernel::Name() const noexcept { return name_; }

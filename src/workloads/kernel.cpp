@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "metrics/error_metrics.hpp"
+#include "util/rng.hpp"
 
 namespace axdse::workloads {
 
@@ -22,6 +23,19 @@ std::size_t Kernel::VariableIndex(const std::string& name) const {
     if (vars[i].name == name) return i;
   throw std::invalid_argument("Kernel::VariableIndex: unknown variable '" +
                               name + "'");
+}
+
+std::vector<std::uint8_t> SeededPixels(std::size_t count, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> pixels(count);
+  for (auto& v : pixels) v = static_cast<std::uint8_t>(rng.UniformBelow(256));
+  return pixels;
+}
+
+std::size_t RowBand(std::size_t y, std::size_t out_rows,
+                    std::size_t row_bands) noexcept {
+  const std::size_t band = y * row_bands / out_rows;
+  return band >= row_bands ? row_bands - 1 : band;
 }
 
 }  // namespace axdse::workloads

@@ -4,6 +4,8 @@
 // variables and can be selectively approximated (the paper's "automatic code
 // instrumentation" of the target application).
 
+#include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -108,5 +110,15 @@ class Kernel {
   /// Throws std::invalid_argument if absent.
   std::size_t VariableIndex(const std::string& name) const;
 };
+
+/// `count` uniform 8-bit values drawn in order from util::Rng(seed): the
+/// synthetic image of the image kernels (conv2d, sobel3x3, dct8x8).
+std::vector<std::uint8_t> SeededPixels(std::size_t count, std::uint64_t seed);
+
+/// The band of output row `y` when `out_rows` output rows are split into
+/// `row_bands` equal bands, the last one absorbing the remainder (the
+/// per-band image variables of conv2d and sobel3x3).
+std::size_t RowBand(std::size_t y, std::size_t out_rows,
+                    std::size_t row_bands) noexcept;
 
 }  // namespace axdse::workloads

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "instrument/multi_approx_context.hpp"
-#include "util/rng.hpp"
 
 namespace axdse::workloads {
 
@@ -20,9 +19,7 @@ SobelKernel::SobelKernel(std::size_t height, std::size_t width,
   const std::size_t out_rows = height - 2;
   if (row_bands == 0 || row_bands > out_rows)
     throw std::invalid_argument("SobelKernel: invalid row_bands");
-  util::Rng rng(seed);
-  image_.resize(height * width);
-  for (auto& v : image_) v = static_cast<std::uint8_t>(rng.UniformBelow(256));
+  image_ = SeededPixels(height * width, seed);
 
   variables_.reserve(row_bands + 3);
   for (std::size_t b = 0; b < row_bands; ++b)
@@ -35,9 +32,7 @@ SobelKernel::SobelKernel(std::size_t height, std::size_t width,
 const std::string& SobelKernel::Name() const noexcept { return name_; }
 
 std::size_t SobelKernel::VarOfRow(std::size_t y) const noexcept {
-  const std::size_t out_rows = height_ - 2;
-  const std::size_t band = y * row_bands_ / out_rows;
-  return band >= row_bands_ ? row_bands_ - 1 : band;
+  return RowBand(y, height_ - 2, row_bands_);
 }
 
 template <class Ctx>

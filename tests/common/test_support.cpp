@@ -118,6 +118,33 @@ std::vector<instrument::ApproxSelection> RandomLaneBatch(
   return selections;
 }
 
+axc::OperatorSet WithAsymmetricOperators(axc::OperatorSet set) {
+  axc::AdderSpec adder;
+  adder.name = "test asymmetric adder";
+  adder.type_code = "ASYM";
+  adder.bits = 16;
+  adder.model = std::make_shared<AsymmetricAdder>();
+  set.adders.push_back(std::move(adder));
+  axc::MultiplierSpec multiplier;
+  multiplier.name = "test asymmetric multiplier";
+  multiplier.type_code = "ASYM";
+  multiplier.bits = 32;
+  multiplier.model = std::make_shared<AsymmetricMultiplier>();
+  set.multipliers.push_back(std::move(multiplier));
+  return set;
+}
+
+instrument::ApproxSelection RandomAsymmetricSelection(
+    const axc::OperatorSet& set, std::size_t num_vars, util::Rng& rng) {
+  instrument::ApproxSelection sel = RandomSelection(set, num_vars, rng);
+  if (rng.UniformBelow(2) == 1)
+    sel.SetAdderIndex(static_cast<std::uint32_t>(set.adders.size() - 1));
+  if (rng.UniformBelow(2) == 1)
+    sel.SetMultiplierIndex(
+        static_cast<std::uint32_t>(set.multipliers.size() - 1));
+  return sel;
+}
+
 void ExpectSameCounts(const energy::OpCounts& got,
                       const energy::OpCounts& want, const std::string& what) {
   EXPECT_EQ(got.precise_adds, want.precise_adds) << what;
@@ -128,17 +155,22 @@ void ExpectSameCounts(const energy::OpCounts& got,
 
 void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
                              std::uint64_t seed) {
+  CheckLanesAgainstScalar(kernel, cases, seed, kernel.Operators());
+}
+
+void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
+                             std::uint64_t seed,
+                             const axc::OperatorSet& operators) {
   using instrument::MultiApproxContext;
   util::Rng rng(seed);
-  MultiApproxContext multi(kernel.Operators(), kernel.NumVariables());
-  instrument::ApproxContext scalar = kernel.MakeContext();
+  MultiApproxContext multi(operators, kernel.NumVariables());
+  instrument::ApproxContext scalar(operators, kernel.NumVariables());
   for (int c = 0; c < cases; ++c) {
     for (const std::size_t lanes :
          {std::size_t{1}, std::size_t{2}, std::size_t{5},
           MultiApproxContext::kMaxLanes}) {
       const std::vector<instrument::ApproxSelection> selections =
-          RandomLaneBatch(kernel.Operators(), kernel.NumVariables(), lanes,
-                          rng);
+          RandomLaneBatch(operators, kernel.NumVariables(), lanes, rng);
       multi.Configure(selections);
       const std::vector<double> got = kernel.RunLanes(multi);
       ASSERT_EQ(got.size() % lanes, 0u) << kernel.Name();

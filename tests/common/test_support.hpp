@@ -11,6 +11,8 @@
 //   * "key=value" field extraction for serve protocol payloads
 //   * random selections/lane batches, OpCounts comparison, and the
 //     RunLanes-vs-Run per-lane check the equivalence suites share
+//   * operand-order-sensitive test operators (AsymmetricAdder /
+//     AsymmetricMultiplier) that make a swapped operand visible
 //
 // Everything here is test-only: the library links gtest and must never be
 // referenced from src/.
@@ -22,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "axc/adders.hpp"
 #include "axc/catalog.hpp"
+#include "axc/multipliers.hpp"
 #include "dse/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "dse/request.hpp"
@@ -102,13 +106,58 @@ std::vector<instrument::ApproxSelection> RandomLaneBatch(
     const axc::OperatorSet& set, std::size_t num_vars, std::size_t lanes,
     util::Rng& rng);
 
+/// Test-only adder outside the built-in families (kVirtual descriptor)
+/// whose result depends on operand order: Add(a, b) = a + b + (a >> 4), so
+/// the first operand weighs 1/16 more and a swap changes the sum by a
+/// sixteenth of the operands' difference — large enough to survive the
+/// rescaling shifts after a chain. Every catalog adder is
+/// operand-symmetric, so without it no test could see a swapped
+/// accumulation.
+class AsymmetricAdder final : public axc::Adder {
+ public:
+  int OperandBits() const noexcept override { return 16; }
+  std::string Describe() const override { return "Asymmetric(a+b+(a>>4))"; }
+  std::uint64_t Add(std::uint64_t a, std::uint64_t b) const noexcept override {
+    return a + b + (a >> 4);
+  }
+};
+
+/// Multiplier counterpart: Multiply(a, b) = a * (b + (b & 255)), at most
+/// twice the exact product, and a swap changes it by
+/// a * (b & 255) - b * (a & 255). Every catalog multiplier is
+/// operand-symmetric.
+class AsymmetricMultiplier final : public axc::Multiplier {
+ public:
+  int OperandBits() const noexcept override { return 32; }
+  std::string Describe() const override {
+    return "Asymmetric(a*(b+(b&255)))";
+  }
+  std::uint64_t Multiply(std::uint64_t a,
+                         std::uint64_t b) const noexcept override {
+    return a * (b + (b & 255));
+  }
+};
+
+/// `set` with one AsymmetricAdder and one AsymmetricMultiplier appended as
+/// its last adder and multiplier.
+axc::OperatorSet WithAsymmetricOperators(axc::OperatorSet set);
+
+/// A RandomSelection over a WithAsymmetricOperators set whose adder and
+/// multiplier are each the asymmetric one with probability 1/2.
+instrument::ApproxSelection RandomAsymmetricSelection(
+    const axc::OperatorSet& set, std::size_t num_vars, util::Rng& rng);
+
 /// EXPECTs the four OpCounts fields equal; `what` labels failures.
 void ExpectSameCounts(const energy::OpCounts& got,
                       const energy::OpCounts& want, const std::string& what);
 
 /// `cases` rounds of RandomLaneBatch at widths 1, 2, 5 and kMaxLanes: each
 /// lane of kernel.RunLanes must equal kernel.Run under that lane's
-/// selection, in outputs and in OpCounts.
+/// selection, in outputs and in OpCounts. Both contexts are bound to
+/// `operators` (the kernel's own set unless given).
+void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
+                             std::uint64_t seed,
+                             const axc::OperatorSet& operators);
 void CheckLanesAgainstScalar(const workloads::Kernel& kernel, int cases,
                              std::uint64_t seed);
 

@@ -35,7 +35,9 @@ namespace {
 using workloads::Kernel;
 
 using testsupport::ExpectSameCounts;
+using testsupport::RandomAsymmetricSelection;
 using testsupport::RandomSelection;
+using testsupport::WithAsymmetricOperators;
 
 // ---------------------------------------------------------------------------
 // Primitive level: batched vs scalar loops over random data and selections.
@@ -334,6 +336,66 @@ TEST(BatchEquivalence, AxpyAccumulateLaneHostileLengths) {
   }
 }
 
+// Operand order: with the operand-order-sensitive test operators selected,
+// a chain that swaps the element product's operands, puts alpha second in
+// an AXPY, or swaps the accumulation operands no longer matches the per-op
+// loop (every catalog operator is symmetric, so the tests above cannot see
+// that).
+TEST(BatchEquivalence, AsymmetricOperatorsKeepOperandOrder) {
+  util::Rng rng(131);
+  const auto set =
+      WithAsymmetricOperators(axc::EvoApproxCatalog::Instance().FirSet());
+  std::vector<std::uint8_t> a8(40), b8(40);
+  std::vector<std::int64_t> a64(40);
+  std::vector<std::int32_t> b32(40);
+  for (auto& v : a8) v = static_cast<std::uint8_t>(rng.UniformBelow(256));
+  for (auto& v : b8) v = static_cast<std::uint8_t>(rng.UniformBelow(256));
+  for (auto& v : a64) v = static_cast<std::int64_t>(rng.UniformBelow(511)) - 255;
+  for (auto& v : b32)
+    v = static_cast<std::int32_t>(rng.UniformBelow(32768)) - 16384;
+  for (int c = 0; c < 24; ++c) {
+    const ApproxSelection sel = RandomAsymmetricSelection(set, 3, rng);
+    ApproxContext batched(set, 3);
+    ApproxContext scalar(set, 3);
+    batched.Configure(sel);
+    scalar.Configure(sel);
+    const std::int64_t start =
+        static_cast<std::int64_t>(rng.UniformBelow(1u << 16));
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+      const std::size_t n = 40 / stride;
+      std::int64_t want8 = start, want64 = -start;
+      for (std::size_t i = 0; i < n; ++i) {
+        want8 = scalar.Add(
+            want8, scalar.Mul(a8[i * stride], b8[i * stride], {0, 1}), {2});
+        want64 = scalar.Add(
+            want64, scalar.Mul(a64[i * stride], b32[i], {0, 1}), {2});
+      }
+      EXPECT_EQ(batched.DotAccumulate(start, a8.data(), stride, b8.data(),
+                                      stride, n, {0, 1}, {2}),
+                want8)
+          << "u8 stride=" << stride << " " << sel.ToString();
+      EXPECT_EQ(batched.DotAccumulate(-start, a64.data(), stride, b32.data(),
+                                      1, n, {0, 1}, {2}),
+                want64)
+          << "i64xi32 stride=" << stride << " " << sel.ToString();
+    }
+    const std::int64_t alpha =
+        static_cast<std::int64_t>(rng.UniformBelow(65536)) - 32768;
+    std::vector<std::int64_t> y_batched(b32.size()), y_scalar(b32.size());
+    for (std::size_t i = 0; i < b32.size(); ++i)
+      y_batched[i] = y_scalar[i] =
+          static_cast<std::int64_t>(rng.UniformBelow(1u << 20)) - (1 << 19);
+    batched.AxpyAccumulate(y_batched.data(), b32.data(), b32.size(), alpha,
+                           {0, 1}, {2});
+    for (std::size_t i = 0; i < b32.size(); ++i)
+      y_scalar[i] =
+          scalar.Add(y_scalar[i], scalar.Mul(alpha, b32[i], {0, 1}), {2});
+    EXPECT_EQ(y_batched, y_scalar) << "axpy " << sel.ToString();
+    ExpectSameCounts(batched.Counts(), scalar.Counts(),
+                     "asymmetric counts " + sel.ToString());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kernel level: every registry kernel vs a scalar mirror of its historical
 // per-op implementation, under random selections.
@@ -579,15 +641,23 @@ std::vector<double> MirrorDot(const workloads::DotProductKernel& k,
   return out;
 }
 
+/// With `asymmetric`, both contexts run the kernel's operator set plus the
+/// operand-order-sensitive test operators, selected half the time.
 template <class ConcreteKernel, class Mirror>
 void CheckKernelAgainstMirror(const ConcreteKernel& kernel, Mirror mirror,
-                              int cases, std::uint64_t seed) {
+                              int cases, std::uint64_t seed,
+                              bool asymmetric = false) {
   util::Rng rng(seed);
-  ApproxContext batched = kernel.MakeContext();
-  ApproxContext scalar = kernel.MakeContext();
+  const axc::OperatorSet operators =
+      asymmetric ? WithAsymmetricOperators(kernel.Operators())
+                 : kernel.Operators();
+  ApproxContext batched(operators, kernel.NumVariables());
+  ApproxContext scalar(operators, kernel.NumVariables());
   for (int c = 0; c < cases; ++c) {
     const ApproxSelection sel =
-        RandomSelection(kernel.Operators(), kernel.NumVariables(), rng);
+        asymmetric
+            ? RandomAsymmetricSelection(operators, kernel.NumVariables(), rng)
+            : RandomSelection(operators, kernel.NumVariables(), rng);
     batched.Configure(sel);
     scalar.Configure(sel);
     const std::vector<double> got = kernel.Run(batched);
@@ -644,6 +714,29 @@ TEST(KernelEquivalence, SobelMatchesScalarMirror) {
 TEST(KernelEquivalence, KMeansMatchesScalarMirror) {
   CheckKernelAgainstMirror(workloads::KMeans1DKernel(40, 5, 23), MirrorKMeans,
                            20, 263);
+}
+
+TEST(KernelEquivalence, AsymmetricOperatorsMatchScalarMirrors) {
+  // Every mirror keeps the historical operand order (DctKernel's pass 1
+  // puts the coefficient first, FIR's alpha is the tap), so a kernel or
+  // chain that swaps operands fails here.
+  CheckKernelAgainstMirror(
+      workloads::MatMulKernel(6, workloads::MatMulGranularity::kRowCol, 5),
+      MirrorMatMul, 8, 271, true);
+  CheckKernelAgainstMirror(workloads::FirKernel(40, 5), MirrorFir, 8, 277,
+                           true);
+  CheckKernelAgainstMirror(workloads::IirKernel(48, 0.2, 7), MirrorIir, 8, 281,
+                           true);
+  CheckKernelAgainstMirror(workloads::Conv2DKernel(8, 9, 3, 11), MirrorConv2D,
+                           8, 283, true);
+  CheckKernelAgainstMirror(workloads::DctKernel(1, 13), MirrorDct, 8, 293,
+                           true);
+  CheckKernelAgainstMirror(workloads::DotProductKernel(48, 5, 17), MirrorDot, 8,
+                           307, true);
+  CheckKernelAgainstMirror(workloads::SobelKernel(8, 9, 3, 19), MirrorSobel, 8,
+                           311, true);
+  CheckKernelAgainstMirror(workloads::KMeans1DKernel(32, 4, 23), MirrorKMeans,
+                           8, 313, true);
 }
 
 }  // namespace

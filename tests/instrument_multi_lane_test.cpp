@@ -31,6 +31,7 @@ namespace {
 using testsupport::CheckLanesAgainstScalar;
 using testsupport::ExpectSameCounts;
 using testsupport::RandomLaneBatch;
+using testsupport::WithAsymmetricOperators;
 
 TEST(MultiLaneEquivalence, ConfigureValidatesLikeScalar) {
   const auto set = axc::EvoApproxCatalog::Instance().FirSet();
@@ -198,6 +199,25 @@ TEST(MultiLaneEquivalence, SobelMatchesScalarRuns) {
 
 TEST(MultiLaneEquivalence, KMeansMatchesScalarRuns) {
   CheckLanesAgainstScalar(workloads::KMeans1DKernel(40, 5, 23), 6, 367);
+}
+
+// The operand-order-sensitive test operators in the lane batches: a lane
+// primitive that swaps operands (or gathers the wrong operand) diverges
+// from the scalar run.
+TEST(MultiLaneEquivalence, AsymmetricOperatorsMatchScalarRuns) {
+  const auto check = [](const workloads::Kernel& kernel, std::uint64_t seed) {
+    CheckLanesAgainstScalar(kernel, 3, seed,
+                            WithAsymmetricOperators(kernel.Operators()));
+  };
+  check(workloads::MatMulKernel(6, workloads::MatMulGranularity::kRowCol, 5),
+        401);
+  check(workloads::FirKernel(40, 5), 409);
+  check(workloads::IirKernel(48, 0.2, 7), 419);
+  check(workloads::Conv2DKernel(8, 9, 3, 11), 421);
+  check(workloads::DctKernel(1, 13), 431);
+  check(workloads::DotProductKernel(48, 5, 17), 433);
+  check(workloads::SobelKernel(8, 9, 3, 19), 439);
+  check(workloads::KMeans1DKernel(32, 4, 23), 443);
 }
 
 }  // namespace

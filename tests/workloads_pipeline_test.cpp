@@ -182,9 +182,11 @@ TEST(PipelineKernel, StageScopedSelectionApproximatesOnlyThatStage) {
 // parameters), so the kernel bodies are never compared with themselves.
 // ---------------------------------------------------------------------------
 
-TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
-  using Mirror = std::function<testsupport::PipelineMirror(ApproxContext&)>;
-  const std::vector<std::pair<PipelineCase, Mirror>> cases = {
+using Mirror = std::function<testsupport::PipelineMirror(ApproxContext&)>;
+
+/// Every built-in pipeline paired with its per-op mirror.
+std::vector<std::pair<PipelineCase, Mirror>> MirrorCases() {
+  return {
       {BuiltinCases()[0],
        [](ApproxContext& ctx) {
          return testsupport::MirrorJpegPath(1, 16, 2023, ctx);
@@ -198,8 +200,11 @@ TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
          return testsupport::MirrorNnLayer(7, 8, 2, 2023, ctx);
        }},
   };
+}
+
+TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
   util::Rng rng(161803);
-  for (const auto& [c, mirror] : cases) {
+  for (const auto& [c, mirror] : MirrorCases()) {
     const std::unique_ptr<Kernel> kernel = Make(c);
     ApproxContext got_ctx = kernel->MakeContext();
     ApproxContext want_ctx = kernel->MakeContext();
@@ -229,6 +234,36 @@ TEST(PipelineKernel, MatchesPerOpMirrorUnderRandomSelections) {
       }
       ExpectSameCounts(got_ctx.Counts(), total, what + " totals");
     }
+  }
+}
+
+// The operand-order-sensitive test operators appended to each pipeline's
+// set and selected half the time: the mirrors keep every stage's operand
+// order, so a stage, chain or lane primitive that swaps the operands of a
+// multiply or an accumulation fails here (no catalog operator can show it).
+TEST(PipelineKernel, AsymmetricOperatorsMatchMirrorAndLanes) {
+  util::Rng rng(271828);
+  std::uint64_t seed = 57721;
+  for (const auto& [c, mirror] : MirrorCases()) {
+    const std::unique_ptr<Kernel> kernel = Make(c);
+    const axc::OperatorSet set =
+        testsupport::WithAsymmetricOperators(kernel->Operators());
+    ApproxContext got_ctx(set, kernel->NumVariables());
+    ApproxContext want_ctx(set, kernel->NumVariables());
+    for (int trial = 0; trial < 8; ++trial) {
+      const ApproxSelection sel = testsupport::RandomAsymmetricSelection(
+          set, kernel->NumVariables(), rng);
+      const std::string what = std::string(c.spec) + " " + sel.ToString();
+      got_ctx.Configure(sel);
+      want_ctx.Configure(sel);
+      const std::vector<double> got = kernel->Run(got_ctx);
+      const testsupport::PipelineMirror want = mirror(want_ctx);
+      ASSERT_EQ(got, want.out) << what;
+      energy::OpCounts total;
+      for (const energy::OpCounts& stage : want.stage_counts) total += stage;
+      ExpectSameCounts(got_ctx.Counts(), total, what + " totals");
+    }
+    testsupport::CheckLanesAgainstScalar(*kernel, 2, seed++, set);
   }
 }
 
